@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -222,17 +221,9 @@ def cmd_validate(args) -> int:
     model = load_model(args.model)
     deltas = _parse_sweep(args.delta_sweep)
     rows = []
-    threads = os.environ.get("CARMA_HF_THREADS")
     try:
-        if threads and int(threads) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                for part in pool.map(lambda d: _validate_one_delta(model, d), deltas):
-                    rows.extend(part)
-        else:
-            for d in deltas:
-                rows.extend(_validate_one_delta(model, d))
+        for d in deltas:
+            rows.extend(_validate_one_delta(model, d))
 
         # Monte Carlo vs analytic filtered autocovariances at the coarsest delta.
         d0 = deltas[0]

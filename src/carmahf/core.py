@@ -1,10 +1,11 @@
-"""Continuous-time CARMA layer.
+"""Continuous-time CARMA layer and the sampled state-space core.
 
 Model validation, companion state-space matrices, the causal kernel g, the
-continuous-time autocovariance and spectral density, and the stationary state
-covariance.  Where the residue formulas require distinct autoregressive roots,
-a state-space (matrix exponential / Lyapunov) route is used instead, and both
-routes agree whenever both apply.
+continuous-time autocovariance and spectral density, the stationary state
+covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled
+coordinates that every Delta-grid quantity derives from.  Everything goes
+through the matrix exponential and the Lyapunov equation, never through the
+autoregressive roots, so every root multiplicity takes the same route.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ import scipy.linalg
 
 from . import poly
 from .poly import Polynomial, RootSet
-
-#: Roots closer than this are treated as numerically repeated and the
-#: state-space route is used instead of residue sums.
-ROOT_SEPARATION = 1e-4
-
 
 class ModelError(ValueError):
     """A CARMA model violates one of the standing assumptions."""
@@ -87,19 +83,6 @@ def ar_roots(model: CarmaModel) -> RootSet:
     return poly.find_roots(model.ar_polynomial())
 
 
-def _use_residues(model: CarmaModel) -> bool:
-    rs = ar_roots(model)
-    if not rs.all_simple:
-        return False
-    vals = rs.distinct()
-    if len(vals) > 1:
-        d = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() < ROOT_SEPARATION:
-            return False
-    return True
-
-
 def validate(model: CarmaModel, require_coprime: bool = True) -> CarmaModel:
     """Check all standing assumptions; raise ModelError naming the violation.
 
@@ -125,34 +108,18 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(M, dtype=float))
 
 
-@lru_cache(maxsize=256)
-def _residue_weights(model: CarmaModel) -> np.ndarray:
-    """Per-root weights b(lambda)/a'(lambda) of the kernel residue sum."""
-    lam = ar_roots(model).distinct()
-    a = model.ar_polynomial()
-    da = a.derivative()
-    b = model.ma_polynomial()
-    return np.array([b.eval(z) / da.eval(z) for z in lam])
-
-
 def kernel_values(model: CarmaModel, t) -> np.ndarray:
     """The causal kernel g evaluated on an array of times.
 
-    g(t) = b^T e^(At) e_p for t > 0 and 0 for t < 0.  At t = 0 the right
-    limit g(0+) is returned (relevant only when p - q = 1).
+    g(t) = b^T e^(At) e_p for t > 0 and 0 for t < 0, from one batched matrix
+    exponential.  At t = 0 the right limit g(0+) is returned (relevant only
+    when p - q = 1).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t.shape)
     pos = t >= 0.0
-    if _use_residues(model):
-        lam = ar_roots(model).distinct()
-        w = _residue_weights(model)
-        out[pos] = np.real(np.exp(np.outer(t[pos], lam)) @ w)
-    else:
-        A = model.companion()
-        b = model.b_vector()
-        for i in np.nonzero(pos)[0]:
-            out[i] = b @ matrix_exp(A * t[i])[:, -1]
+    E = matrix_exp(model.companion() * t[pos][:, None, None])
+    out[pos] = E[:, :, -1] @ model.b_vector()
     return out
 
 
@@ -185,33 +152,16 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-@lru_cache(maxsize=256)
-def _acvf_residue_weights(model: CarmaModel) -> np.ndarray:
-    """Weights of gamma_Y(h) = sigma2 * sum_i w_i exp(lambda_i |h|), simple roots."""
-    lam = ar_roots(model).distinct()
-    a = model.ar_polynomial()
-    da = a.derivative()
-    b = model.ma_polynomial()
-    return np.array([b.eval(z) * b.eval(-z) / (da.eval(z) * a.eval(-z)) for z in lam])
-
-
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     """Autocovariance gamma_Y(h) of the continuous-time process.
 
-    Residue sum over the (distinct) AR roots; falls back to the
-    state-space identity sigma2 * b^T e^(A|h|) Sigma b for repeated or
-    nearly-repeated roots.
+    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, from one batched
+    matrix exponential; valid for every root multiplicity.
     """
     h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
-    if _use_residues(model):
-        lam = ar_roots(model).distinct()
-        w = _acvf_residue_weights(model)
-        out = model.sigma2 * np.real(np.exp(np.outer(h_arr, lam)) @ w)
-    else:
-        A = model.companion()
-        b = model.b_vector()
-        sb = stationary_state_covariance(model) @ b
-        out = np.array([model.sigma2 * (b @ matrix_exp(A * hv) @ sb) for hv in h_arr])
+    b = model.b_vector()
+    sb = stationary_state_covariance(model) @ b
+    out = model.sigma2 * (matrix_exp(model.companion() * h_arr[..., None, None]) @ sb) @ b
     if np.isscalar(h) or np.asarray(h).ndim == 0:
         return float(out[0])
     return out
@@ -227,3 +177,35 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     if w.ndim == 0:
         return float(out)
     return out
+
+
+@lru_cache(maxsize=512)
+def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
+    """The sampled system (F, Q, b) on a Delta-grid, in Delta-scaled coordinates.
+
+    With T = diag(delta^(p-1), ..., delta, 1) and S = T^-1 A T, returns
+    F = T^-1 e^(A delta) T, Q = T^-1 Q_Delta T^-T and b = T b, where
+    Q_Delta = int_0^delta e^(Au) e_p e_p^T e^(A^T u) du is the transition noise
+    covariance per unit sigma2.  Both come from one Van Loan (1978) block
+    exponential, exp([[S delta, delta e_p e_p^T], [0, -S^T delta]]) =
+    [[F, G], [0, F^-T]] with Q = G F^T.
+
+    The scaling is not optional: expm picks its Pade degree from the matrix
+    norm, so the delta^k-sized entries of an unscaled F and Q_Delta come out
+    with only absolute accuracy, while here every entry of S delta is O(1)
+    and every entry of Q is O(delta).  The arrays are read-only (cached).
+    """
+    p = model.p
+    k = np.arange(p)
+    M = np.zeros((2 * p, 2 * p))
+    M[:p, :p] = model.companion() * delta ** (k[:, None] - k[None, :] + 1.0)
+    M[p:, p:] = -M[:p, :p].T
+    M[p - 1, 2 * p - 1] = delta
+    E = matrix_exp(M)
+    F = E[:p, :p]
+    Q = E[:p, p:] @ F.T
+    Q = 0.5 * (Q + Q.T)
+    b = delta ** (p - 1.0 - k) * model.b_vector()
+    for x in (F, Q, b):
+        x.setflags(write=False)
+    return F, Q, b

@@ -1,8 +1,15 @@
 """The Delta-grid layer.
 
-Sampled spectral density, annihilating-filter coefficients and power transfer
-function, the filtered-sequence spectral density, and the exact filtered
-autocovariances at lags 0..p-1 (extendable past p-1, where they vanish).
+Annihilating-filter coefficients and power transfer function, the sampled and
+filtered spectral densities, and the exact filtered autocovariances at lags
+0..p-1 (extendable past p-1, where they vanish).
+
+Every quantity derives from the Delta-scaled sampled system (F, Q, b) of
+:func:`core.sampled_state_space`: phi is the characteristic polynomial of F,
+the MA(p-1) part of phi(B) Y comes from the Faddeev-LeVerrier matrices of F,
+and the spectra are resolvent quadratic forms in Q.  No route needs the
+autoregressive roots, so repeated and nearly repeated roots need no special
+case; the roots serve only the coarse-grid warning.
 """
 
 from __future__ import annotations
@@ -15,14 +22,6 @@ import numpy as np
 
 from . import core
 from .core import CarmaModel
-
-#: Nodes per length-Delta subinterval; the integrands are entire there.
-_GL_ORDER = 32
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-#: Tail threshold for the folded-sum route of the sampled spectral density.
-_FOLD_TOL = 1e-12
-_FOLD_CAP = 10**7
 
 
 class CoarseSamplingWarning(UserWarning):
@@ -65,174 +64,104 @@ def _check_grid(model: CarmaModel, delta: float) -> None:
 
 
 @lru_cache(maxsize=512)
-def _filter_coefficients_cached(model: CarmaModel, delta: float) -> tuple:
-    lam = core.ar_roots(model).values()
-    c = np.array([1.0 + 0.0j])
-    for z in lam:
-        f = np.exp(z * delta)
-        nxt = np.zeros(len(c) + 1, dtype=complex)
-        nxt[: len(c)] += c
-        nxt[1:] -= f * c
-        c = nxt
-    scale = np.max(np.abs(c))
-    if np.max(np.abs(c.imag)) > 1e-12 * scale:
-        raise NumericalError("filter coefficients have non-negligible imaginary part")
-    return tuple(c.real)
+def _filter_vectors(model: CarmaModel, delta: float) -> tuple:
+    """phi = charpoly(F) and the rows v_j = C_j^T b (j = 0..p-1), Delta-scaled.
+
+    Faddeev-LeVerrier: C_0 = I, phi_j = -tr(F C_(j-1)) / j and
+    C_j = F C_(j-1) + phi_j I, so C_j = sum_(k<=j) phi_k F^(j-k) and
+    C_p = phi(F) = 0 (Cayley-Hamilton).  Hence phi(B) Y_t = sum_j v_j^T eps_(t-j)
+    for the transition noise eps, the MA(p-1) part of the sampled ARMA.
+    """
+    F, _, b = core.sampled_state_space(model, delta)
+    p = model.p
+    phi = np.ones(p + 1)
+    V = np.empty((p, p))
+    C = np.eye(p)
+    for j in range(1, p + 1):
+        V[j - 1] = C.T @ b
+        FC = F @ C
+        phi[j] = -np.trace(FC) / j
+        C = FC + phi[j] * np.eye(p)
+    phi.setflags(write=False)
+    V.setflags(write=False)
+    return phi, V
 
 
 def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:
     """Coefficients (A_0, ..., A_p) of the annihilating filter prod(1 - e^(lambda_j Delta) B).
 
-    A_0 = 1; computed by multiplying the factors out one at a time, which is
-    numerically stable and handles repeated roots transparently.
+    A_0 = 1; the characteristic polynomial of F = e^(A Delta), by
+    Faddeev-LeVerrier, so repeated roots need no special case.
     """
     _check_grid(model, delta)
-    return np.array(_filter_coefficients_cached(model, delta))
+    return np.array(_filter_vectors(model, delta)[0])
+
+
+def _shifted(model: CarmaModel, delta: float, w: np.ndarray) -> np.ndarray:
+    """The stack e^(-i omega) I - F^T over a 1-d omega grid (Delta-scaled F)."""
+    F = core.sampled_state_space(model, delta)[0]
+    return np.exp(-1j * w)[:, None, None] * np.eye(model.p) - F.T
 
 
 def power_transfer(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
     """Power transfer function psi(omega) = |phi(e^(i omega))|^2 of the filter.
 
-    Evaluated through the product form 2^p e^(-a_1 Delta) prod(cosh(lambda_i
-    Delta) - cos omega), which is real and non-negative by conjugate pairing.
+    Evaluated as |det(e^(-i omega) I - F^T)|^2, since phi is the
+    characteristic polynomial of F.
     """
     w = np.asarray(omega, dtype=float)
-    lam = core.ar_roots(model).values()
-    prod = np.ones(w.shape, dtype=complex)
-    for z in lam:
-        prod = prod * (np.cosh(z * delta) - np.cos(w))
-    out = (2.0 ** model.p) * np.exp(-model.a[0] * delta) * np.real(prod)
-    out = np.maximum(out, 0.0)
-    if w.ndim == 0:
-        return float(out)
-    return out
-
-
-def _fold_horizon(model: CarmaModel, delta: float) -> int:
-    """Smallest H with a certified folded-sum tail below _FOLD_TOL."""
-    max_re = max(z.real for z in core.ar_roots(model).distinct())  # negative
-    g0 = core.acvf_continuous(model, 0.0)
-    r = np.exp(delta * max_re)
-    # gamma_Y(0) * r^H / (1 - r) < tol * gamma_Y(0)
-    if r >= 1.0:
-        raise NumericalError("non-contracting sampled autocovariance")
-    h = int(np.ceil(np.log(_FOLD_TOL * (1.0 - r)) / np.log(r)))
-    if h > _FOLD_CAP:
-        raise NumericalError(
-            f"folded-sum horizon {h} exceeds cap {_FOLD_CAP}; "
-            "mixing is pathologically slow relative to delta"
-        )
-    return max(h, 1)
-
-
-@lru_cache(maxsize=256)
-def _sampled_acvf_grid(model: CarmaModel, delta: float) -> tuple:
-    """gamma_Y(h Delta) for h = 0..H with certified tail, as a tuple."""
-    h = _fold_horizon(model, delta)
-    if core._use_residues(model):
-        lam = core.ar_roots(model).distinct()
-        w = core._acvf_residue_weights(model)
-        hs = np.arange(h + 1)
-        vals = model.sigma2 * np.real(np.exp(np.outer(hs * delta, lam)) @ w)
-    else:
-        A = model.companion()
-        b = model.b_vector()
-        f = core.matrix_exp(A * delta)
-        v = core.stationary_state_covariance(model) @ b
-        vals = np.empty(h + 1)
-        for k in range(h + 1):
-            vals[k] = model.sigma2 * (b @ v)
-            v = f @ v
-    return tuple(vals)
-
-
-def _sampled_density_folded(model: CarmaModel, delta: float, w: np.ndarray) -> np.ndarray:
-    gam = np.array(_sampled_acvf_grid(model, delta))
-    hs = np.arange(1, len(gam))
-    cos_terms = np.cos(np.outer(w, hs))
-    return (gam[0] + 2.0 * cos_terms @ gam[1:]) / (2.0 * np.pi)
-
-
-def _sampled_density_residue(model: CarmaModel, delta: float, w: np.ndarray) -> np.ndarray:
-    lam = core.ar_roots(model).distinct()
-    wts = core._acvf_residue_weights(model)
-    out = np.zeros(w.shape, dtype=complex)
-    for z, c in zip(lam, wts):
-        out += c * np.sinh(delta * z) / (np.cosh(delta * z) - np.cos(w))
-    return -model.sigma2 / (2.0 * np.pi) * np.real(out)
-
-
-def spectral_density_sampled(model: CarmaModel, delta: float, omega, method: str = "auto"):
-    """Spectral density f_Delta of the sampled sequence on [-pi, pi].
-
-    ``method`` is "residue" (distinct AR roots only), "folded" (a truncated
-    folded sum with a certified geometric tail bound, multiplicity-agnostic)
-    or "auto".
-    """
-    _check_grid(model, delta)
-    w = np.asarray(omega, dtype=float)
-    w1 = np.atleast_1d(w)
-    if method == "auto":
-        method = "residue" if core._use_residues(model) else "folded"
-    if method == "residue":
-        if not core._use_residues(model):
-            raise ValueError("residue route requires distinct AR roots")
-        out = _sampled_density_residue(model, delta, w1)
-    elif method == "folded":
-        out = _sampled_density_folded(model, delta, w1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = np.abs(np.linalg.det(_shifted(model, delta, np.atleast_1d(w)))) ** 2
     if w.ndim == 0:
         return float(out[0])
     return out
 
 
-def spectral_density_filtered(model: CarmaModel, delta: float, omega, method: str = "auto"):
-    """Spectral density f_MA = psi * f_Delta of the filtered sequence."""
-    psi = power_transfer(model, delta, omega)
-    return psi * spectral_density_sampled(model, delta, omega, method=method)
+def spectral_density_sampled(model: CarmaModel, delta: float, omega):
+    """Spectral density f_Delta of the sampled sequence on [-pi, pi].
 
-
-def _filtered_kernel(model: CarmaModel, delta: float, t: np.ndarray) -> np.ndarray:
-    """phi(B_Delta) g at times t: sum_k A_k g(t - k Delta)."""
-    A = filter_coefficients(model, delta)
-    out = np.zeros(t.shape)
-    for k, a in enumerate(A):
-        out += a * core.kernel_values(model, t - k * delta)
+    f_Delta(omega) = sigma2 / (2 pi) * u^H Q u with
+    u = (e^(-i omega) I - F^T)^-1 b, one batched solve over the omega grid.
+    """
+    _check_grid(model, delta)
+    w = np.asarray(omega, dtype=float)
+    w1 = np.atleast_1d(w)
+    _, Q, b = core.sampled_state_space(model, delta)
+    u = np.linalg.solve(_shifted(model, delta, w1), b[:, None])[..., 0]
+    out = model.sigma2 / (2.0 * np.pi) * np.real(np.einsum("ni,ij,nj->n", u.conj(), Q, u))
+    if w.ndim == 0:
+        return float(out[0])
     return out
+
+
+def spectral_density_filtered(model: CarmaModel, delta: float, omega):
+    """Spectral density f_MA = psi * f_Delta of the filtered sequence."""
+    return power_transfer(model, delta, omega) * spectral_density_sampled(model, delta, omega)
 
 
 def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:
     """sum_k A_k g(t - k Delta) for t > p Delta; vanishes identically in theory."""
     if t <= model.p * delta:
         raise ValueError("annihilation holds only beyond p * delta")
-    return float(_filtered_kernel(model, delta, np.array([t]))[0])
+    A = filter_coefficients(model, delta)
+    return float(A @ core.kernel_values(model, t - delta * np.arange(len(A))))
 
 
 def acvf_filtered(model: CarmaModel, delta: float, n: int) -> float:
     """Exact autocovariance gamma_MA(n) of the filtered sampled sequence.
 
-    Evaluates the triple-sum integral representation via fixed-order
-    Gauss-Legendre quadrature on each subinterval ((i-1) Delta, i Delta),
-    where both kernel arguments stay non-negative and the integrand is a
-    product of entire functions.  Lags n >= p are supported and vanish up to
-    quadrature/rounding noise, witnessing (p-1)-correlation.
+    gamma_MA(n) = sigma2 * sum_j v_(j+n)^T Q v_j, a finite sum over the
+    moving-average vectors of the sampled ARMA.  Lags n >= p are supported
+    and are exactly 0, the (p-1)-correlation of the filtered sequence.
     """
     if n < 0:
         raise ValueError("lag must be non-negative")
     _check_grid(model, delta)
     p = model.p
-    n_sub = p - n if n <= p - 1 else p
-    if n_sub <= 0:
+    if n >= p:
         return 0.0
-    total = 0.0
-    half = 0.5 * delta
-    for i in range(1, n_sub + 1):
-        s = (i - 1) * delta + half * (_GL_NODES + 1.0)
-        h1 = _filtered_kernel(model, delta, s)
-        h2 = _filtered_kernel(model, delta, s + n * delta)
-        total += half * np.dot(_GL_WEIGHTS, h1 * h2)
-    return model.sigma2 * total
+    Q = core.sampled_state_space(model, delta)[1]
+    V = _filter_vectors(model, delta)[1]
+    return model.sigma2 * float(np.sum((V[n:] @ Q) * V[: p - n]))
 
 
 def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = None) -> CovSequence:

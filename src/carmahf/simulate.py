@@ -65,20 +65,12 @@ def spawn_seeds(seed: int, k: int) -> list:
 def transition_noise_covariance(model: CarmaModel, delta: float) -> np.ndarray:
     """Q_Delta = int_0^Delta e^(Au) e_p e_p^T e^(A^T u) du (per unit sigma2).
 
-    Computed via the augmented 2p x 2p block matrix exponential, so it is
-    exact to matrix-exponential accuracy.
+    The Delta-scaled Q of :func:`core.sampled_state_space` (one Van Loan
+    block exponential) mapped back to T Q T^T, exact to matrix-exponential
+    accuracy.
     """
-    p = model.p
-    A = model.companion()
-    M = np.zeros((2 * p, 2 * p))
-    M[:p, :p] = A
-    M[p:, p:] = -A.T
-    M[p - 1, 2 * p - 1] = 1.0  # e_p e_p^T block
-    E = core.matrix_exp(M * delta)
-    F = E[:p, :p]  # e^(A Delta)
-    G = E[:p, p:]
-    Q = G @ F.T
-    return 0.5 * (Q + Q.T)
+    t = delta ** np.arange(model.p - 1.0, -1.0, -1.0)
+    return np.outer(t, t) * core.sampled_state_space(model, delta)[1]
 
 
 def _safe_cholesky(S: np.ndarray) -> np.ndarray:

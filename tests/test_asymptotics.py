@@ -88,11 +88,15 @@ class TestGammaMaAsymptotic:
         assert g0 == pytest.approx(lim.tau2_scale * (1 + t * t), rel=1e-12)
 
     def test_matches_exact_small_delta(self):
-        for m in corpus():
+        cases = [(m, 1e-3, 0.02) for m in corpus()]
+        # p = 5, q = 0 at delta = 1e-5: gamma_MA(n) is of size delta^9, far
+        # below the rounding error of its O(1) ingredients in unscaled form
+        cases.append((CarmaModel([15.0, 85.0, 225.0, 274.0, 120.0], [1.0]), 1e-5, 1e-3))
+        for m, d, tol in cases:
             for n in range(m.p):
-                exact = chf.acvf_filtered(m, 1e-3, n)
-                asym = chf.gamma_ma_asymptotic(m, 1e-3, n)
-                assert exact / asym == pytest.approx(1.0, abs=0.02)
+                exact = chf.acvf_filtered(m, d, n)
+                asym = chf.gamma_ma_asymptotic(m, d, n)
+                assert exact / asym == pytest.approx(1.0, abs=tol)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

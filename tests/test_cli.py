@@ -161,20 +161,6 @@ class TestValidate:
         assert all(r[4] in ("PASS", "WARN") for r in rows)
         assert any(r[0].startswith("mc_acvf") for r in rows)
 
-    def test_threads_env(self, model_file, capsys, monkeypatch):
-        monkeypatch.setenv("CARMA_HF_THREADS", "2")
-        assert run_cli(
-            ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5",
-             "--length", "120000", "--seed", "42", "--no-timestamp"]
-        ) == 0
-        out1 = capsys.readouterr().out
-        monkeypatch.delenv("CARMA_HF_THREADS")
-        assert run_cli(
-            ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5",
-             "--length", "120000", "--seed", "42", "--no-timestamp"]
-        ) == 0
-        assert capsys.readouterr().out == out1
-
 
 class TestEntryPoint:
     def test_console_script(self, model_file):

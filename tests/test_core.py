@@ -6,7 +6,7 @@ import carmahf as chf
 from carmahf import CarmaModel, ModelError
 from carmahf.core import ar_roots
 
-from conftest import random_stable_model
+from conftest import random_stable_model, residue_acvf, residue_kernel
 
 
 class TestValidate:
@@ -68,16 +68,12 @@ class TestKernel:
         assert chf.kernel(carma20, 1.0) == pytest.approx(np.exp(-1) - np.exp(-2), rel=1e-12)
 
     def test_residue_vs_expm(self):
-        # distinct-root models: both kernel routes must agree
+        # distinct-root models: the matrix exponential against the residue sum in 50 digits
         rng = np.random.default_rng(3)
         for _ in range(5):
             m = random_stable_model(rng)
             ts = rng.uniform(1e-3, 10.0, 100)
-            g_res = chf.kernel_values(m, ts)
-            A = m.companion()
-            b = m.b_vector()
-            g_exp = np.array([b @ chf.matrix_exp(A * t)[:, -1] for t in ts])
-            assert np.allclose(g_res, g_exp, rtol=1e-9, atol=1e-12)
+            assert np.allclose(chf.kernel_values(m, ts), residue_kernel(m, ts), rtol=1e-9, atol=1e-12)
 
     def test_repeated_root_kernel(self):
         # a(z) = (z+1)^2: g(t) = t e^{-t}
@@ -124,20 +120,20 @@ class TestAcvfContinuous:
             assert chf.acvf_continuous(carma21, h) == pytest.approx(oracle, rel=1e-7)
 
     def test_residue_vs_lyapunov(self):
+        # distinct-root models: the Lyapunov/expm identity against the residue sum in 50 digits
         rng = np.random.default_rng(5)
         for _ in range(5):
             m = random_stable_model(rng)
-            b = m.b_vector()
-            sb = chf.stationary_state_covariance(m) @ b
-            A = m.companion()
-            for h in rng.uniform(0.0, 5.0, 5):
-                lyap = m.sigma2 * (b @ chf.matrix_exp(A * h) @ sb)
-                assert chf.acvf_continuous(m, h) == pytest.approx(lyap, rel=1e-9, abs=1e-13)
+            hs = rng.uniform(0.0, 5.0, 5)
+            assert chf.acvf_continuous(m, hs) == pytest.approx(residue_acvf(m, hs), rel=1e-9, abs=1e-13)
 
     def test_repeated_roots_fall_back(self):
         m = CarmaModel([2.0, 1.0], [1.0])  # double root -1
         oracle, _ = quad(lambda u: chf.kernel(m, u) ** 2, 0.0, np.inf, limit=200)
         assert chf.acvf_continuous(m, 0.0) == pytest.approx(oracle, rel=1e-9)
+        # quadruple root -1: gamma_Y(0) = int (t^3 e^-t / 3!)^2 dt = 6! / (2^7 3!^2)
+        m = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0])
+        assert chf.acvf_continuous(m, 0.0) == pytest.approx(5.0 / 32.0, rel=1e-12)
 
 
 class TestSpectralDensityContinuous:

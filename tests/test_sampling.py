@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,11 +9,10 @@ from carmahf import CarmaModel
 from carmahf.sampling import (
     CoarseSamplingWarning,
     CovSequence,
-    _sampled_acvf_grid,
     annihilation_residual,
 )
 
-from conftest import corpus, random_stable_model
+from conftest import corpus, random_stable_model, residue_sampled_density
 
 
 class TestCovSequence:
@@ -54,6 +55,15 @@ class TestFilterCoefficients:
         assert A[1] == pytest.approx(-2 * np.exp(-d) * np.cos(2 * d), rel=1e-12)
         assert A[2] == pytest.approx(np.exp(-2 * d), rel=1e-12)
 
+    def test_repeated_root_binomial(self):
+        # a(z) = (z+1)^k: phi(B) = (1 - e^{-delta} B)^k, binomially expanded
+        d = 0.01
+        r = np.exp(-d)
+        for k in (2, 3, 4):
+            m = CarmaModel([math.comb(k, j) for j in range(1, k + 1)], [1.0])
+            want = [math.comb(k, j) * (-r) ** j for j in range(k + 1)]
+            assert np.allclose(chf.filter_coefficients(m, d), want, rtol=1e-13, atol=1e-15)
+
     def test_sum_small_for_small_delta(self, carma30):
         # phi(1) = prod(1 - e^{lambda delta}) = O(delta^p)
         assert abs(chf.filter_coefficients(carma30, 1e-3).sum()) < 1e-8
@@ -83,18 +93,18 @@ class TestSampledDensity:
         want = 0.5 * np.sinh(d) / (np.cosh(d) - np.cos(w)) / (2 * np.pi)
         assert chf.spectral_density_sampled(ou, d, w) == pytest.approx(want, rel=1e-12)
 
-    def test_residue_vs_folded(self):
+    def test_state_space_vs_residue(self):
+        # distinct roots: the residue formula in 50 digits is the reference;
+        # delta = 1e-3 at omega = pi is where float residue sums lose digits
+        w = np.append(np.linspace(-np.pi + 0.01, np.pi - 0.01, 41), np.pi)
         for m in corpus():
-            for d in (0.05, 0.3):
-                w = np.linspace(-np.pi + 0.01, np.pi - 0.01, 41)
-                r = chf.spectral_density_sampled(m, d, w, method="residue")
-                f = chf.spectral_density_sampled(m, d, w, method="folded")
-                assert np.allclose(r, f, rtol=1e-9, atol=1e-12)
+            for d in (0.05, 0.3, 1e-3):
+                want = residue_sampled_density(m, d, w)
+                assert np.allclose(chf.spectral_density_sampled(m, d, w), want, rtol=1e-10, atol=0.0)
 
     def test_inverse_transform_recovers_sampled_acvf(self, carma21):
         # (1/2pi-normalized) duality: gamma_Y(h delta) = int_-pi^pi f_Delta e^{ihw} dw
         d = 0.1
-        grid = _sampled_acvf_grid(carma21, d)
         for h in (0, 1, 3):
             val, _ = quad(
                 lambda w: chf.spectral_density_sampled(carma21, d, w) * np.cos(h * w),
@@ -103,15 +113,13 @@ class TestSampledDensity:
                 limit=200,
                 epsrel=1e-12,
             )
-            assert 2 * val == pytest.approx(grid[h], rel=1e-9)
+            assert 2 * val == pytest.approx(chf.acvf_continuous(carma21, h * d), rel=1e-9)
 
     def test_repeated_root_folded_route(self):
-        m = CarmaModel([2.0, 1.0], [1.0])  # double root: auto must take folded
+        m = CarmaModel([2.0, 1.0], [1.0])  # double root -1
         w = np.array([0.7, 2.0])
         got = chf.spectral_density_sampled(m, 0.1, w)
         assert np.all(got > 0)
-        with pytest.raises(ValueError):
-            chf.spectral_density_sampled(m, 0.1, w, method="residue")
 
 
 class TestFilteredDensity:
