@@ -44,7 +44,6 @@ from .poly import Polynomial, RootSet, coprime, find_roots, is_stable
 from .sampling import (
     CoarseSamplingWarning,
     CovSequence,
-    NumericalError,
     acvf_filtered,
     acvf_filtered_sequence,
     annihilation_residual,
@@ -70,7 +69,6 @@ __all__ = [
     "DriverSpec",
     "FactorizationError",
     "ModelError",
-    "NumericalError",
     "Polynomial",
     "RootSet",
     "SampledArma",

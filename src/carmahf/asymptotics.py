@@ -4,10 +4,10 @@ The odd-coefficient series c_k(omega), the asymptotic filtered spectral
 density and autocovariances, the closed-form limit MA models for
 p - q in {1, 2, 3}, and the differenced-spectrum form.
 
-The alternating triple sum behind the asymptotic autocovariance suffers
-catastrophic cancellation in floating point (at lag p-1 it collapses to a
-tiny beta-function value), so it is evaluated in exact rational arithmetic
-and converted to float only at the end.
+The asymptotic autocovariance coefficients are one central difference of
+the generalized covariance of integrated Brownian motion.  The terms of
+that difference cancel heavily, so it is summed over integers and converted
+to float only at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,44 +75,29 @@ def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | floa
     return out
 
 
-@lru_cache(maxsize=4096)
-def _c_exact(h: int, k: int, i: int, n: int, N: int) -> Fraction:
-    """C(h, k, i, n; N) via the closed double-binomial sum, exactly."""
-    x = i - 1 - h
-    y = i - 1 - k + n
-    total = Fraction(0)
-    for l1 in range(N + 1):
-        xl = Fraction(1) if N - l1 == 0 else Fraction(x) ** (N - l1)
-        for l2 in range(N + 1):
-            yl = Fraction(1) if N - l2 == 0 else Fraction(y) ** (N - l2)
-            total += (
-                Fraction(math.comb(N, l1) * math.comb(N, l2), l1 + l2 + 1) * xl * yl
-            )
-    return total
-
-
-@lru_cache(maxsize=1024)
 def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
-    """Exact rational coefficient of sigma^2 Delta^(2(p-q)-1) in gamma_MA(n).
+    """Exact rational coefficient of sigma^2 Delta^(2d-1) in gamma_MA(n), d = p - q.
 
-    At n = p - 1 this equals (-1)^q / (2(p-q) - 1)! exactly.
+    As Delta -> 0 the filter tends to (1 - B)^p and Y behaves locally like
+    (d-1)-fold integrated Brownian motion, whose generalized covariance is
+    (-1)^d |h|^(2d-1) / (2 (2d-1)!).  The coefficient is the 2p-th central
+    difference of that covariance at lag n:
+
+        (-1)^d / (2 (2d-1)!) * sum_{k=-p..p} (-1)^k C(2p, p+k) |n+k|^(2d-1).
+
+    It is 0 for n >= p (a 2p-th difference of a polynomial of degree
+    2d-1 < 2p) and (-1)^q / (2d-1)! at n = p - 1.
     """
     if not 0 <= q < p:
         raise ValueError("require 0 <= q < p")
     if n < 0:
         raise ValueError("lag must be non-negative")
-    N = p - q - 1
-    total = Fraction(0)
-    for i in range(1, p - n + 1):
-        for k in range(0, n + i):
-            for h in range(0, i):
-                total += (
-                    (-1) ** (h + k)
-                    * math.comb(p, k)
-                    * math.comb(p, h)
-                    * _c_exact(h, k, i, n, N)
-                )
-    return total / Fraction(math.factorial(N)) ** 2
+    d = p - q
+    total = sum(
+        (-1) ** (k % 2) * math.comb(2 * p, p + k) * abs(n + k) ** (2 * d - 1)
+        for k in range(-p, p + 1)
+    )
+    return Fraction((-1) ** d * total, 2 * math.factorial(2 * d - 1))
 
 
 def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:

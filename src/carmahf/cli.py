@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, asymptotics, core, factorization, sampling, simulate
 from .core import CarmaModel, ModelError
 from .factorization import FactorizationError
-from .sampling import NumericalError
 
 EXIT_IO = 1
 EXIT_VALIDATION = 2
@@ -107,7 +106,7 @@ def cmd_acvf(args) -> int:
             else:
                 val = asymptotics.gamma_ma_asymptotic(model, args.delta, lag)
             rows.append([lag, repr(float(val)), args.mode])
-    except (NumericalError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         raise CliError(EXIT_NUMERIC, str(exc))
     meta = {"model": _model_echo(model), "delta": args.delta, "mode": args.mode}
     _emit(args, meta, ["lag", "gamma", "mode"], rows)
@@ -148,7 +147,7 @@ def cmd_spectrum(args) -> int:
                     vals[mask] = np.atleast_1d(
                         asymptotics.f_ma_asymptotic(model, args.delta, grid[mask])
                     )
-    except (NumericalError, asymptotics.OmegaTooCloseToZero) as exc:
+    except asymptotics.OmegaTooCloseToZero as exc:
         raise CliError(EXIT_NUMERIC, str(exc))
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
     meta = {"model": _model_echo(model), "delta": args.delta, "which": args.which}
@@ -164,8 +163,6 @@ def cmd_sampled_arma(args) -> int:
         residual = factorization.reconstruction_residual(arma, cov)
     except FactorizationError as exc:
         raise CliError(EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}")
-    except NumericalError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
     rows = []
     for k, c in enumerate(arma.phi):
         rows.append(["phi", k, repr(float(c))])
@@ -248,7 +245,7 @@ def cmd_validate(args) -> int:
             dev = abs(mean_vals[lag] - exact) / mean_se[lag]
             status = "PASS" if dev <= 4.0 else "FAIL"
             rows.append([f"mc_acvf_lag{lag}", d0, repr(float(dev)), "<= 4 SE", status])
-    except (NumericalError, FactorizationError) as exc:
+    except FactorizationError as exc:
         raise CliError(EXIT_NUMERIC, str(exc))
 
     rows.sort(key=lambda r: (float(r[1]), r[0]))

@@ -8,6 +8,7 @@ recursion is kept as an independent verification oracle.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,6 @@ PAIRING_TOL = 1e-6
 #: Roots this close to the unit circle are treated as boundary
 #: (non-invertible limit) and assigned once to the theta side.
 BOUNDARY_TOL = 1e-8
-#: gamma_MA(p-1) below this (relative to gamma_MA(0)) triggers order reduction.
-ORDER_REDUCTION_TOL = 1e-12
 
 
 class FactorizationError(RuntimeError):
@@ -38,7 +37,8 @@ class SampledArma:
 
     ``phi`` are the AR coefficients (A_0=1, ..., A_p), ``theta`` the MA
     coefficients (theta_1, ..., theta_{p-1}) of an invertible theta(B), and
-    ``tau2`` the innovation variance.
+    ``tau2`` the innovation variance.  ``boundary`` is True when theta(B) has
+    a root on the unit circle, i.e. it is only the non-invertible limit.
     """
 
     delta: float
@@ -61,8 +61,15 @@ def spectral_factorize(cov) -> tuple[np.ndarray, float]:
     Forms the covariance generating polynomial G(z) = sum_{|n|<=m}
     gamma(n) z^(n+m), whose 2m roots occur in reciprocal pairs (z, 1/z);
     theta is assembled from the root of each pair with modulus >= 1 and
-    tau^2 = gamma(0) / (1 + sum theta_j^2).
+    tau^2 = gamma(0) / (1 + sum theta_j^2).  Warns when a root lies on the
+    unit circle.
     """
+    theta, tau2, _ = _factorize(cov)
+    return theta, tau2
+
+
+def _factorize(cov) -> tuple[np.ndarray, float, bool]:
+    """:func:`spectral_factorize` plus whether theta(B) hit the unit circle."""
     gamma = np.asarray(getattr(cov, "values", cov), dtype=float)
     if gamma.ndim != 1 or len(gamma) == 0:
         raise ValueError("covariance sequence must be a non-empty 1-d array")
@@ -77,7 +84,7 @@ def spectral_factorize(cov) -> tuple[np.ndarray, float]:
     if np.linalg.eigvalsh(toeplitz).min() < -1e-10 * gamma[0]:
         raise FactorizationError("not_psd", "covariance Toeplitz matrix is not PSD")
     if m == 0:
-        return np.zeros(0), float(gamma[0])
+        return np.zeros(0), float(gamma[0]), False
 
     gen = np.concatenate([gamma[::-1], gamma[1:]])  # ascending in z, degree 2m
     roots = list(poly.find_roots(poly.Polynomial(gen)).values())
@@ -116,10 +123,8 @@ def spectral_factorize(cov) -> tuple[np.ndarray, float]:
     theta = c.real[1:] / c.real[0]
     tau2 = gamma[0] / (1.0 + np.dot(theta, theta))
     if boundary:
-        import warnings
-
         warnings.warn("unit-circle spectral roots: factorization is at the non-invertible boundary")
-    return theta, float(tau2)
+    return theta, float(tau2), boundary
 
 
 def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:
@@ -157,14 +162,8 @@ def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:
     """Full chain: filter coefficients, exact gamma_MA, spectral factorization."""
     core.validate(model, require_coprime=False)
     phi = sampling.filter_coefficients(model, delta)
-    cov = sampling.acvf_filtered_sequence(model, delta)
-    gamma = np.asarray(cov.values)
-    # Order reduction guard; for small delta gamma_MA(p-1) is provably nonzero.
-    m = len(gamma) - 1
-    while m > 0 and abs(gamma[m]) < ORDER_REDUCTION_TOL * gamma[0]:
-        m -= 1
-    theta, tau2 = spectral_factorize(gamma[: m + 1])
-    return SampledArma(delta=delta, phi=tuple(phi), theta=tuple(theta), tau2=tau2)
+    theta, tau2, boundary = _factorize(sampling.acvf_filtered_sequence(model, delta))
+    return SampledArma(delta=delta, phi=tuple(phi), theta=tuple(theta), tau2=tau2, boundary=boundary)
 
 
 def reconstruction_residual(arma: SampledArma, cov: CovSequence) -> float:

@@ -28,10 +28,6 @@ class CoarseSamplingWarning(UserWarning):
     """Delta * max|Re lambda| > 1: outside the small-Delta regime."""
 
 
-class NumericalError(RuntimeError):
-    """A certified numerical procedure could not meet its error target."""
-
-
 @dataclass(frozen=True)
 class CovSequence:
     """Finite autocovariance list gamma(0..n_max) on a Delta-grid.

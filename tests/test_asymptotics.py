@@ -65,14 +65,14 @@ class TestFmaAsymptotic:
 class TestGammaMaAsymptotic:
     def test_lag_pminus1_closed_form(self):
         # gamma_MA(p-1) coefficient equals (-1)^q / (2(p-q)-1)! exactly
-        for p in range(1, 7):
+        for p in range(1, 11):
             for q in range(p):
                 got = gamma_ma_asymptotic_coefficient(p, q, p - 1)
                 want = Fraction((-1) ** q, math.factorial(2 * (p - q) - 1))
                 assert got == want
 
     def test_vanishes_beyond_order(self):
-        for p in range(1, 6):
+        for p in range(1, 11):
             for q in range(p):
                 for n in range(p, p + 2):
                     assert gamma_ma_asymptotic_coefficient(p, q, n) == 0
@@ -97,6 +97,21 @@ class TestGammaMaAsymptotic:
                 exact = chf.acvf_filtered(m, d, n)
                 asym = chf.gamma_ma_asymptotic(m, d, n)
                 assert exact / asym == pytest.approx(1.0, abs=tol)
+
+    def test_fourier_sum_matches_f_ma_asymptotic(self):
+        # The coefficients are the autocovariances of the limit spectrum, so
+        # their cosine sum must reproduce f_ma_asymptotic, which is built from
+        # the c_k(omega) series and never touches the coefficients.
+        sigma2, delta = 1.3, 0.1
+        for p in range(1, 9):
+            for q in range(p):
+                m = CarmaModel([1.0] * p, [1.0] * (q + 1), sigma2=sigma2)
+                c = [float(gamma_ma_asymptotic_coefficient(p, q, n)) for n in range(p)]
+                for w in (np.pi / 4, np.pi / 2, 2.0, np.pi):
+                    trig = c[0] + 2.0 * sum(c[n] * math.cos(n * w) for n in range(1, p))
+                    want = chf.f_ma_asymptotic(m, delta, w)
+                    got = trig / (2.0 * np.pi) * sigma2 * delta ** (2 * (p - q) - 1)
+                    assert got == pytest.approx(want, rel=1e-9)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,11 +166,16 @@ class TestValidate:
 
 class TestEntryPoint:
     def test_console_script(self, model_file):
+        # The child must import the same package as this process, also when
+        # pytest put it on sys.path rather than PYTHONPATH.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "carmahf.cli", "acvf", model_file, "--delta", "0.01",
              "--no-timestamp"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "lag,gamma,mode" in proc.stdout

@@ -114,6 +114,15 @@ class TestSampledArma:
             cov = chf.acvf_filtered_sequence(m, d)
             assert chf.reconstruction_residual(arma, cov) < 1e-10
 
+    def test_boundary_flag_set(self):
+        # theta_1 = -1 - 1.9e-11 at delta = 1e-5: not invertible, only the limit
+        m = CarmaModel([3.0, 2.0], [1e-3, 1.0])
+        with pytest.warns(UserWarning, match="boundary"):
+            arma = chf.sampled_arma(m, 1e-5)
+        assert arma.boundary
+        assert arma.theta[0] == pytest.approx(-1.0, abs=1e-9)
+        assert not chf.sampled_arma(m, 1e-2).boundary
+
     def test_repeated_ar_roots_supported(self):
         m = CarmaModel([2.0, 1.0], [1.0])
         arma = chf.sampled_arma(m, 0.05)
