@@ -2,7 +2,10 @@
 
 Exact Gaussian transitions for the Brownian driver, fine-grid Euler for
 Brownian or compound-Poisson drivers, and the empirical second-order
-estimators used as Monte Carlo oracles.
+estimators used as Monte Carlo oracles.  Both simulators run the state
+recursion through one propagator, the complex Schur form of the transition
+matrix solved channel by channel with LAPACK, which takes every root
+multiplicity the same way and needs nothing beyond ``scipy.linalg``.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.linalg
 
 from . import core, sampling
 from .core import CarmaModel
@@ -81,46 +84,27 @@ def _safe_cholesky(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S + jitter)
 
 
-def _eigen_state(model: CarmaModel):
-    """Eigendecomposition of the companion matrix, or None if ill-conditioned."""
-    A = model.companion()
-    lam, V = np.linalg.eig(A)
-    if len(lam) > 1:
-        d = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() < 1e-8:
-            return None
-    if np.linalg.cond(V) > 1e8:
-        return None
-    return lam, V
+def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, e: np.ndarray, x0: np.ndarray) -> tuple:
+    """y[k] = b_out . x[k] for x[k] = F x[k-1] + G e[k-1] (k = 1..m), x[0] = x0.
 
-
-def _propagate(b_out: np.ndarray, F: np.ndarray, eps: np.ndarray, x0: np.ndarray, eig) -> np.ndarray:
-    """y[k] = b_out . x[k] for x[k] = F x[k-1] + eps[k], x[0] = x0.
-
-    Uses p decoupled scalar recursions through the eigenbasis of the
-    companion matrix when available, else a direct loop.
+    Returns (y[0..m], x[m]).  With the complex Schur form F = Z T Z^H the
+    rotated state z = Z^H x obeys z[k] = T z[k-1] + Z^H G e[k-1]; its channels
+    are solved last to first, each as one lower-bidiagonal forward
+    substitution (LAPACK ztbtrs) whose right-hand side carries the coupling
+    sum_{j>i} T_ij z_j[k-1] from the channels already solved.  Z is unitary,
+    so every root multiplicity takes this route with no conditioning gate.
     """
-    n = len(eps) + 1
-    if eig is not None:
-        lam, V = eig
-        fdiag = np.diag(np.linalg.solve(V, F @ V))
-        w = np.linalg.solve(V, eps.T)  # (p, n-1)
-        z0 = np.linalg.solve(V, x0)
-        bv = b_out @ V
-        y = np.zeros(n)
-        y[0] = np.real(np.dot(bv, z0))
-        for j in range(len(lam)):
-            zj = scipy.signal.lfilter([1.0], [1.0, -fdiag[j]], w[j], zi=np.array([fdiag[j] * z0[j]]))[0]
-            y[1:] += np.real(bv[j] * zj)
-        return y
-    x = x0.astype(float).copy()
-    y = np.empty(n)
-    y[0] = b_out @ x
-    for k in range(1, n):
-        x = F @ x + eps[k - 1]
-        y[k] = b_out @ x
-    return y
+    T, Z = scipy.linalg.schur(F, output="complex")
+    z = np.empty((len(x0), len(e) + 1), dtype=complex)
+    z[:, 0] = Z.conj().T @ x0
+    np.matmul(Z.conj().T @ G, e.T, out=z[:, 1:])
+    ab = np.empty((2, z.shape[1]), dtype=complex)  # row 0, the unit diagonal, is not read
+    for i in range(len(x0) - 1, -1, -1):
+        z[i, 1:] += T[i, i + 1 :] @ z[i + 1 :, :-1]
+        ab[1] = -T[i, i]
+        z[i] = scipy.linalg.lapack.ztbtrs(ab, z[i, :, None], uplo="L", diag="U", overwrite_b=True)[0][:, 0]
+    y = np.real((b_out @ Z) @ z)
+    return y, np.real(Z @ z[:, -1])
 
 
 def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) -> SimulationResult:
@@ -140,8 +124,8 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Lq = _safe_cholesky(Q)
     Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model))
     x0 = Ls @ rng.standard_normal(p)
-    eps = rng.standard_normal((n - 1, p)) @ Lq.T
-    y = _propagate(model.b_vector(), F, eps, x0, _eigen_state(model))
+    e = rng.standard_normal((n - 1, p))
+    y = _propagate(model.b_vector(), F, Lq, e, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
@@ -180,43 +164,20 @@ def simulate_euler(
     A = model.companion()
     F = np.eye(p) + A * dt
     b_out = model.b_vector()
-    min_re = min(abs(z.real) for z in core.ar_roots(model).distinct())
+    e_p = np.eye(p)[:, -1:]
+    min_re = np.abs(np.linalg.eigvals(A).real).min()
     burn = int(np.ceil(20.0 / (delta * min_re)))
     total = (burn + n) * substeps
-    eig = _eigen_state(model)
-
-    y_sub = np.empty(0)
-    if eig is not None:
-        lam, V = eig
-        fdiag = 1.0 + lam * dt
-        u = np.linalg.solve(V, np.eye(p)[:, -1])  # V^-1 e_p
-        bv = b_out @ V
-        zi = np.zeros((p, 1), dtype=complex)
-        chunks = []
-        done = 0
-        while done < total:
-            k = min(_CHUNK, total - done)
-            dl = _driver_increments(rng, driver, model.sigma2, dt, k)
-            yk = np.zeros(k)
-            for j in range(p):
-                zj, zi_j = scipy.signal.lfilter([1.0], [1.0, -fdiag[j]], u[j] * dl, zi=zi[j])
-                zi[j] = zi_j
-                yk += np.real(bv[j] * zj)
-            chunks.append(yk)
-            done += k
-        y_sub = np.concatenate(chunks)
-    else:
-        x = np.zeros(p)
-        y_sub = np.empty(total)
-        done = 0
-        while done < total:
-            k = min(_CHUNK, total - done)
-            dl = _driver_increments(rng, driver, model.sigma2, dt, k)
-            for i in range(k):
-                x = F @ x
-                x[-1] += dl[i]
-                y_sub[done + i] = b_out @ x
-            done += k
+    x = np.zeros(p)
+    chunks = []
+    done = 0
+    while done < total:
+        k = min(_CHUNK, total - done)
+        dl = _driver_increments(rng, driver, model.sigma2, dt, k)
+        yk, x = _propagate(b_out, F, e_p, dl[:, None], x)
+        chunks.append(yk[1:])
+        done += k
+    y_sub = np.concatenate(chunks)
     y = y_sub[substeps - 1 :: substeps][burn : burn + n]
     return SimulationResult(delta=delta, y=y.copy(), seed=seed, scheme="euler", substeps=substeps)
 

@@ -180,6 +180,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "lag,gamma,mode" in proc.stdout
 
+    def test_import_skips_unused_scipy_subpackages(self):
+        # These take most of a cold import and no command needs them.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, carmahf.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, DriverSpec
+from carmahf import CarmaModel, DriverSpec, simulate
 from carmahf.simulate import spawn_seeds, transition_noise_covariance
 
 from conftest import corpus
@@ -72,6 +72,48 @@ class TestTransitionNoiseCovariance:
         assert np.allclose(S, F @ S @ F.T + Q, atol=1e-12)
 
 
+def _longdouble_loop(b_out, F, G, e, x0):
+    """The state recursion of ``_propagate`` in extended precision, step by step."""
+    F, G, x, b_out = (np.asarray(v, dtype=np.longdouble) for v in (F, G, x0, b_out))
+    eps = np.asarray(e, dtype=np.longdouble) @ G.T
+    y = np.empty(len(e) + 1, dtype=np.longdouble)
+    y[0] = b_out @ x
+    for k in range(len(e)):
+        x = F @ x + eps[k]
+        y[k + 1] = b_out @ x
+    return y, x
+
+
+class TestPropagate:
+    @pytest.mark.parametrize(
+        "a, delta",
+        [
+            ([2.0, 1.0 + 1e-10], 1e-3),  # near pair: an eigenbasis route erred by 6.5e-4 here
+            ([4.0, 6.0, 4.0, 1.0], 1e-2),
+            ([4.0, 6.0, 4.0, 1.0], 1e-5),
+            ([5.0, 10.0, 10.0, 5.0, 1.0], 1e-2),
+            ([5.0, 10.0, 10.0, 5.0, 1.0], 1e-5),
+        ],
+    )
+    def test_matches_longdouble_loop(self, a, delta):
+        m = CarmaModel(a, [1.0])
+        rng = np.random.default_rng(4)
+        F = chf.matrix_exp(m.companion() * delta)
+        G = np.linalg.cholesky(transition_noise_covariance(m, delta))
+        x0 = np.linalg.cholesky(chf.stationary_state_covariance(m)) @ rng.standard_normal(m.p)
+        e = rng.standard_normal((20_000, m.p))
+        y, x = simulate._propagate(m.b_vector(), F, G, e, x0)
+        y_ref, x_ref = _longdouble_loop(m.b_vector(), F, G, e, x0)
+        assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
+        assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+    def test_single_sample(self, carma30):
+        x0 = np.array([0.5, -1.0, 2.0])
+        y, x = simulate._propagate(carma30.b_vector(), np.eye(3), np.eye(3), np.empty((0, 3)), x0)
+        assert y == pytest.approx([carma30.b_vector() @ x0], rel=1e-14)
+        assert x == pytest.approx(x0, rel=1e-14)
+
+
 class TestSimulateGaussianExact:
     def test_moments_ou(self, ou):
         r = chf.simulate_gaussian_exact(ou, 0.1, 200_000, seed=7)
@@ -93,8 +135,8 @@ class TestSimulateGaussianExact:
         r = chf.simulate_gaussian_exact(m, 0.1, 50, seed=1)
         assert np.array_equal(r.y, np.zeros(50))
 
-    def test_repeated_root_loop_route(self):
-        # defective companion matrix: falls back to the direct recursion
+    def test_repeated_root_stationary_variance(self):
+        # defective companion matrix: a double root at -1
         m = CarmaModel([2.0, 1.0], [1.0])
         r = chf.simulate_gaussian_exact(m, 0.1, 60_000, seed=23)
         g0 = chf.acvf_continuous(m, 0.0)
@@ -123,6 +165,14 @@ class TestSimulateEuler:
         g1 = chf.acvf_continuous(ou, 0.1)
         assert np.dot(r.y, r.y) / len(r.y) == pytest.approx(g0, rel=0.05)
         assert np.dot(r.y[:-1], r.y[1:]) / len(r.y) == pytest.approx(g1, rel=0.05)
+
+    @pytest.mark.parametrize("a", [[3.0, 2.0], [2.0, 1.0]])  # distinct roots, double root
+    def test_state_carried_across_chunks(self, monkeypatch, a):
+        m = CarmaModel(a, [0.5, 1.0])
+        one = chf.simulate_euler(m, 0.1, 2_000, substeps=4, driver=DriverSpec(), seed=9)
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        many = chf.simulate_euler(m, 0.1, 2_000, substeps=4, driver=DriverSpec(), seed=9)
+        assert np.max(np.abs(many.y - one.y)) <= 1e-12 * np.max(np.abs(one.y))
 
     def test_substeps_validation(self, ou):
         with pytest.raises(ValueError):
