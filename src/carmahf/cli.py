@@ -59,6 +59,12 @@ def load_model(path: str) -> CarmaModel:
     return model
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad numeric argument with a one-line validation error."""
+    if not ok:
+        raise CliError(EXIT_VALIDATION, message)
+
+
 def _model_echo(model: CarmaModel) -> dict:
     echo = {"a": list(model.a), "b": list(model.b), "sigma2": model.sigma2}
     if model.label is not None:
@@ -98,16 +104,15 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
 
 def cmd_acvf(args) -> int:
     model = load_model(args.model)
+    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+    _require(args.lags >= 0, "--lags must be >= 0")
     rows = []
-    try:
-        for lag in range(args.lags + 1):
-            if args.mode == "exact":
-                val = sampling.acvf_filtered(model, args.delta, lag)
-            else:
-                val = asymptotics.gamma_ma_asymptotic(model, args.delta, lag)
-            rows.append([lag, repr(float(val)), args.mode])
-    except FloatingPointError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+    for lag in range(args.lags + 1):
+        if args.mode == "exact":
+            val = sampling.acvf_filtered(model, args.delta, lag)
+        else:
+            val = asymptotics.gamma_ma_asymptotic(model, args.delta, lag)
+        rows.append([lag, repr(float(val)), args.mode])
     meta = {"model": _model_echo(model), "delta": args.delta, "mode": args.mode}
     _emit(args, meta, ["lag", "gamma", "mode"], rows)
     return 0
@@ -116,7 +121,7 @@ def cmd_acvf(args) -> int:
 def _auto_omega_max(model: CarmaModel) -> float:
     d = model.p - model.q
     g0 = core.acvf_continuous(model, 0.0)
-    omega = 10.0 * (1.0 + max(abs(z) for z in core.ar_roots(model).distinct()))
+    omega = 10.0 * (1.0 + np.max(np.abs(core.ar_roots(model))))
     while omega < 1e6:
         tail = 4.0 * core.spectral_density_continuous(model, omega) * omega / (2 * d - 1)
         if tail < 1e-6 * g0:
@@ -127,28 +132,24 @@ def _auto_omega_max(model: CarmaModel) -> float:
 
 def cmd_spectrum(args) -> int:
     model = load_model(args.model)
-    if args.grid_points < 2:
-        raise CliError(EXIT_VALIDATION, "--grid-points must be >= 2")
-    try:
-        if args.which == "continuous":
-            omax = args.omega_max if args.omega_max else _auto_omega_max(model)
-            grid = np.linspace(-omax, omax, args.grid_points)
-            vals = core.spectral_density_continuous(model, grid)
+    _require(args.grid_points >= 2, "--grid-points must be >= 2")
+    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+    if args.which == "continuous":
+        omax = args.omega_max if args.omega_max else _auto_omega_max(model)
+        grid = np.linspace(-omax, omax, args.grid_points)
+        vals = core.spectral_density_continuous(model, grid)
+    else:
+        grid = np.linspace(-np.pi, np.pi, args.grid_points)
+        if args.which == "sampled":
+            vals = sampling.spectral_density_sampled(model, args.delta, grid)
+        elif args.which == "filtered":
+            vals = sampling.spectral_density_filtered(model, args.delta, grid)
         else:
-            grid = np.linspace(-np.pi, np.pi, args.grid_points)
-            if args.which == "sampled":
-                vals = sampling.spectral_density_sampled(model, args.delta, grid)
-            elif args.which == "filtered":
-                vals = sampling.spectral_density_filtered(model, args.delta, grid)
-            else:
-                mask = np.abs(1.0 - np.cos(grid)) > asymptotics.OMEGA_TOL
-                vals = np.full(len(grid), np.nan)
-                if mask.any():
-                    vals[mask] = np.atleast_1d(
-                        asymptotics.f_ma_asymptotic(model, args.delta, grid[mask])
-                    )
-    except asymptotics.OmegaTooCloseToZero as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+            # f_ma_asymptotic has a pole at omega = 0; those points read NaN.
+            mask = np.abs(1.0 - np.cos(grid)) > asymptotics.OMEGA_TOL
+            vals = np.full(len(grid), np.nan)
+            if mask.any():
+                vals[mask] = np.atleast_1d(asymptotics.f_ma_asymptotic(model, args.delta, grid[mask]))
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
     meta = {"model": _model_echo(model), "delta": args.delta, "which": args.which}
     _emit(args, meta, ["omega", "f"], rows)
@@ -157,6 +158,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sampled_arma(args) -> int:
     model = load_model(args.model)
+    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
     try:
         arma = factorization.sampled_arma(model, args.delta)
         cov = sampling.acvf_filtered_sequence(model, args.delta)
@@ -193,8 +195,7 @@ def _parse_sweep(text: str) -> list:
 def _validate_one_delta(model: CarmaModel, delta: float) -> list:
     """Exact-vs-asymptotic ratio checks for one grid size."""
     rows = []
-    max_re = max(abs(z.real) for z in core.ar_roots(model).distinct())
-    regime = delta * max_re <= 1.0
+    regime = sampling.coarseness(model, delta) <= 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
         for lag in range(model.p):
@@ -217,36 +218,37 @@ def _validate_one_delta(model: CarmaModel, delta: float) -> list:
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     deltas = _parse_sweep(args.delta_sweep)
+    _require(args.seed >= 0, "--seed must be >= 0")
+    _require(args.paths >= 1, "--paths must be >= 1")
+    min_length = simulate.MIN_LENGTH_PER_ORDER * model.p
+    _require(args.length >= min_length, f"--length must be >= {min_length} for a p = {model.p} model")
     rows = []
-    try:
-        for d in deltas:
-            rows.extend(_validate_one_delta(model, d))
+    for d in deltas:
+        rows.extend(_validate_one_delta(model, d))
 
-        # Monte Carlo vs analytic filtered autocovariances at the coarsest delta.
-        d0 = deltas[0]
-        seeds = simulate.spawn_seeds(args.seed, args.paths)
-        pooled = None
-        for s in seeds:
-            res = simulate.simulate_gaussian_exact(model, d0, args.length, int(s))
-            emp = simulate.empirical_filtered_acvf(res, model, lags=model.p - 1)
-            vals = np.array(emp.values)
-            errs = np.array(emp.stderr)
-            if pooled is None:
-                pooled = [vals, errs**2]
-            else:
-                pooled[0] += vals
-                pooled[1] += errs**2
-        mean_vals = pooled[0] / args.paths
-        mean_se = np.sqrt(pooled[1]) / args.paths
-        for lag in range(model.p):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
-                exact = sampling.acvf_filtered(model, d0, lag)
-            dev = abs(mean_vals[lag] - exact) / mean_se[lag]
-            status = "PASS" if dev <= 4.0 else "FAIL"
-            rows.append([f"mc_acvf_lag{lag}", d0, repr(float(dev)), "<= 4 SE", status])
-    except FactorizationError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc))
+    # Monte Carlo vs analytic filtered autocovariances at the coarsest delta.
+    d0 = deltas[0]
+    seeds = simulate.spawn_seeds(args.seed, args.paths)
+    pooled = None
+    for s in seeds:
+        res = simulate.simulate_gaussian_exact(model, d0, args.length, int(s))
+        emp = simulate.empirical_filtered_acvf(res, model, lags=model.p - 1)
+        vals = np.array(emp.values)
+        errs = np.array(emp.stderr)
+        if pooled is None:
+            pooled = [vals, errs**2]
+        else:
+            pooled[0] += vals
+            pooled[1] += errs**2
+    mean_vals = pooled[0] / args.paths
+    mean_se = np.sqrt(pooled[1]) / args.paths
+    for lag in range(model.p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
+            exact = sampling.acvf_filtered(model, d0, lag)
+        dev = abs(mean_vals[lag] - exact) / mean_se[lag]
+        status = "PASS" if dev <= 4.0 else "FAIL"
+        rows.append([f"mc_acvf_lag{lag}", d0, repr(float(dev)), "<= 4 SE", status])
 
     rows.sort(key=lambda r: (float(r[1]), r[0]))
     meta = {

@@ -5,7 +5,9 @@ continuous-time autocovariance and spectral density, the stationary state
 covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled
 coordinates that every Delta-grid quantity derives from.  Everything goes
 through the matrix exponential and the Lyapunov equation, never through the
-autoregressive roots, so every root multiplicity takes the same route.
+autoregressive roots, so every root multiplicity takes the same route.  The
+roots themselves (:func:`ar_roots`, the companion eigenvalues) serve only the
+stability check and coarse scale estimates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from . import poly
-from .poly import Polynomial, RootSet
+from .poly import Polynomial
+
 
 class ModelError(ValueError):
     """A CARMA model violates one of the standing assumptions."""
@@ -78,9 +81,13 @@ class CarmaModel:
         return v
 
 
-@lru_cache(maxsize=256)
-def ar_roots(model: CarmaModel) -> RootSet:
-    return poly.find_roots(model.ar_polynomial())
+def ar_roots(model: CarmaModel) -> np.ndarray:
+    """The autoregressive roots, as the eigenvalues of the companion matrix.
+
+    Repeated roots come out split by about eps^(1/m) for multiplicity m,
+    which is ample for the sign and scale tests they serve.
+    """
+    return np.linalg.eigvals(model.companion())
 
 
 def validate(model: CarmaModel, require_coprime: bool = True) -> CarmaModel:

@@ -1,8 +1,10 @@
-"""Real-coefficient polynomial arithmetic and complex root extraction.
+"""Real-coefficient polynomial arithmetic, root tests and a clustering root finder.
 
-Roots are found by Aberth-Ehrlich simultaneous iteration and then clustered
-into multiplicity groups, so downstream formulas that branch on distinct vs.
-repeated roots get a deterministic answer.
+The model's roots come from companion-matrix eigenvalues: :func:`is_stable`
+reads an array of them and :func:`coprime` takes both polynomials' roots
+from ``np.roots``.  :func:`find_roots`, Aberth-Ehrlich simultaneous iteration
+clustered into conjugate-closed multiplicity groups, serves only the spectral
+factorization, which pairs the roots of its covariance generating polynomial.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tunables surfaced at module level; see coprime() for why the coprimality
-# threshold is configurable at the call site.
 CLUSTER_RADIUS = 1e-6
 STABILITY_MARGIN = 1e-12
 COPRIME_TOL = 1e-8
@@ -87,12 +87,6 @@ class RootSet:
     def values(self) -> np.ndarray:
         """Roots repeated according to multiplicity."""
         return np.array([z for z, m in self.roots for _ in range(m)])
-
-    def distinct(self) -> np.ndarray:
-        return np.array([z for z, _ in self.roots])
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.roots])
 
     @property
     def all_simple(self) -> bool:
@@ -207,24 +201,26 @@ def find_roots(poly: Polynomial) -> RootSet:
     return RootSet(tuple(_conjugate_pair(groups)))
 
 
-def is_stable(roots: RootSet) -> bool:
-    """True iff every root lies strictly inside the left half plane.
+def is_stable(roots) -> bool:
+    """True iff every root in the array lies strictly inside the left half plane.
 
     The boundary (real part in ``[-STABILITY_MARGIN, 0]``) counts as unstable.
     """
-    return all(z.real < -STABILITY_MARGIN for z, _ in roots.roots)
+    return bool(np.all(np.real(roots) < -STABILITY_MARGIN))
 
 
-def coprime(a: Polynomial, b: Polynomial, tol: float = COPRIME_TOL) -> bool:
-    """True iff no root of ``a`` is (numerically) a root of ``b``.
+def coprime(a: Polynomial, b: Polynomial) -> bool:
+    """True iff ``a`` and ``b`` share no (numerical) zero.
 
-    The threshold is relative to the largest coefficient of ``b``; the exact
-    cut-off is a modelling choice, hence the ``tol`` argument.
+    Checked both ways, each polynomial at the other's roots against
+    ``COPRIME_TOL`` times its own largest coefficient.  An m-fold root's
+    companion eigenvalues split by about eps^(1/m), so a shared zero shows
+    reliably only in the polynomial evaluated at the less repeated roots.
     """
-    scale = max(abs(c) for c in b.coeffs)
-    if scale == 0.0:
-        return False
-    if a.degree < 1:
-        return True
-    roots = find_roots(a)
-    return all(abs(b.eval(z)) > tol * scale for z, _ in roots.roots)
+    for f, g in ((b, a), (a, b)):
+        scale = max(abs(c) for c in f.coeffs)
+        if scale == 0.0:
+            return False
+        if g.degree >= 1 and np.min(np.abs(f.eval(np.roots(g.coeffs[::-1])))) <= COPRIME_TOL * scale:
+            return False
+    return True

@@ -9,7 +9,8 @@ Every quantity derives from the Delta-scaled sampled system (F, Q, b) of
 the MA(p-1) part of phi(B) Y comes from the Faddeev-LeVerrier matrices of F,
 and the spectra are resolvent quadratic forms in Q.  No route needs the
 autoregressive roots, so repeated and nearly repeated roots need no special
-case; the roots serve only the coarse-grid warning.
+case.  The roots (companion eigenvalues, :func:`core.ar_roots`) serve only
+the Delta-regime, :func:`coarseness`, and its coarse-grid warning.
 """
 
 from __future__ import annotations
@@ -46,14 +47,19 @@ class CovSequence:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
+def coarseness(model: CarmaModel, delta: float) -> float:
+    """Delta * max|Re lambda|; the small-Delta regime is coarseness <= 1."""
+    return delta * float(np.max(np.abs(core.ar_roots(model).real)))
+
+
 def _check_grid(model: CarmaModel, delta: float) -> None:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    max_re = max(abs(z.real) for z in core.ar_roots(model).distinct())
-    if delta * max_re > 1.0:
+    c = coarseness(model, delta)
+    if c > 1.0:
         warnings.warn(
             f"delta={delta} is coarse for this model (delta * max|Re lambda| = "
-            f"{delta * max_re:.3g} > 1); asymptotic comparisons are unreliable",
+            f"{c:.3g} > 1); asymptotic comparisons are unreliable",
             CoarseSamplingWarning,
             stacklevel=3,
         )

@@ -26,6 +26,8 @@ from .sampling import CovSequence
 _CHUNK = 1_000_000
 #: Jitter added to near-singular transition noise covariances, relative to trace.
 _CHOL_JITTER = 1e-14
+#: empirical_filtered_acvf needs at least this many points per AR order.
+MIN_LENGTH_PER_ORDER = 100
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,11 @@ def transition_noise_covariance(model: CarmaModel, delta: float) -> np.ndarray:
     return np.outer(t, t) * core.sampled_state_space(model, delta)[1]
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"path length n must be >= 0, got {n}")
+
+
 def _safe_cholesky(S: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(S)
@@ -112,11 +119,15 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
 
     The initial state is drawn from the stationary law; transitions use
     e^(A Delta) and Gaussian noise with covariance sigma2 * Q_Delta.  With
-    sigma2 = 0 the path is identically zero (degenerate run mode).
+    sigma2 = 0 the path is identically zero (degenerate run mode), and n = 0
+    gives an empty path.
     """
+    _check_length(n)
     if model.sigma2 == 0.0:
         return SimulationResult(delta=delta, y=np.zeros(n), seed=seed, scheme="exact_gaussian")
     core.validate(model, require_coprime=False)
+    if n == 0:
+        return SimulationResult(delta=delta, y=np.zeros(0), seed=seed, scheme="exact_gaussian")
     rng = np.random.default_rng(seed)
     p = model.p
     F = core.matrix_exp(model.companion() * delta)
@@ -157,6 +168,7 @@ def simulate_euler(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    _check_length(n)
     core.validate(model, require_coprime=False)
     rng = np.random.default_rng(seed)
     p = model.p
@@ -165,7 +177,7 @@ def simulate_euler(
     F = np.eye(p) + A * dt
     b_out = model.b_vector()
     e_p = np.eye(p)[:, -1:]
-    min_re = np.abs(np.linalg.eigvals(A).real).min()
+    min_re = np.abs(core.ar_roots(model).real).min()
     burn = int(np.ceil(20.0 / (delta * min_re)))
     total = (burn + n) * substeps
     x = np.zeros(p)
@@ -191,21 +203,16 @@ def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: i
     """
     y = np.asarray(result.y, dtype=float)
     p = model.p
-    if len(y) < 100 * max(p, 1):
-        raise ValueError(f"series too short: need at least {100 * max(p, 1)} points")
-    if p > 0:
-        a = sampling.filter_coefficients(model, result.delta)
-        u = np.convolve(y, a, mode="valid")
-    else:
-        u = y
+    if len(y) < MIN_LENGTH_PER_ORDER * p:
+        raise ValueError(f"series too short: need at least {MIN_LENGTH_PER_ORDER * p} points")
+    u = np.convolve(y, sampling.filter_coefficients(model, result.delta), mode="valid")
     u = u - u.mean()
     n = len(u)
-    vals = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(lags + 1)])
+    gam = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(max(lags, p - 1) + 1)])
 
     # Bartlett: Var(gamma_hat(h)) ~ (1/n) sum_j [gamma(j)^2 + gamma(j+h) gamma(j-h)],
     # truncated at the MA order p-1 where the true sequence vanishes.
-    m = p - 1 if p > 0 else 0
-    gam = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(m + 1)])
+    m = p - 1
 
     def g(j):
         return gam[abs(j)] if abs(j) <= m else 0.0
@@ -215,5 +222,5 @@ def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: i
         s = sum(g(j) ** 2 + g(j + h) * g(j - h) for j in range(-m - lags, m + lags + 1))
         se[h] = np.sqrt(max(s, 0.0) / n)
     return CovSequence(
-        delta=result.delta, values=tuple(vals), provenance="empirical", stderr=tuple(se)
+        delta=result.delta, values=tuple(gam[: lags + 1]), provenance="empirical", stderr=tuple(se)
     )

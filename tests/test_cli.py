@@ -164,26 +164,63 @@ class TestValidate:
         assert any(r[0].startswith("mc_acvf") for r in rows)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["acvf", "--delta", "0"], "--delta must be finite and > 0"),
+        (["acvf", "--delta", "inf"], "--delta must be finite and > 0"),
+        (["acvf", "--delta", "0.01", "--lags", "-1"], "--lags must be >= 0"),
+        (["spectrum", "--which", "filtered", "--delta", "-0.1"], "--delta must be finite and > 0"),
+        (["spectrum", "--which", "sampled", "--delta", "nan"], "--delta must be finite and > 0"),
+        (["sampled-arma", "--delta", "0"], "--delta must be finite and > 0"),
+        (["validate", "--length", "0"], "--length must be >= 200"),
+        (["validate", "--length", "50"], "--length must be >= 200"),
+        (["validate", "--paths", "0"], "--paths must be >= 1"),
+        (["validate", "--paths", "-1"], "--paths must be >= 1"),
+        (["validate", "--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=[
+        "acvf-delta-0", "acvf-delta-inf", "acvf-lags", "spectrum-delta-neg", "spectrum-delta-nan",
+        "sampled-arma-delta", "length-0", "length-50", "paths-0", "paths-neg", "seed-neg",
+    ],
+)
+def test_bad_numeric_argument_rejected(model_file, capsys, args, message):
+    assert run_cli([args[0], model_file, *args[1:]]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("carmahf: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _child_env():
+    """The environment of a child that imports the same package as this process,
+    also when pytest put it on sys.path rather than PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestEntryPoint:
     def test_console_script(self, model_file):
-        # The child must import the same package as this process, also when
-        # pytest put it on sys.path rather than PYTHONPATH.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "carmahf.cli", "acvf", model_file, "--delta", "0.01",
              "--no-timestamp"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "lag,gamma,mode" in proc.stdout
 
     def test_import_skips_unused_scipy_subpackages(self):
         # These take most of a cold import and no command needs them.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys, carmahf.cli; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
@@ -193,7 +230,7 @@ class TestEntryPoint:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -15,7 +15,7 @@ class TestValidate:
 
     def test_carma20_valid(self, carma20):
         chf.validate(carma20)
-        got = sorted(ar_roots(carma20).values().real)
+        got = sorted(ar_roots(carma20).real)
         assert np.allclose(got, [-2.0, -1.0], atol=1e-10)
 
     def test_common_zeros(self, carma21):
@@ -24,6 +24,17 @@ class TestValidate:
         assert exc.value.reason == "common_zeros"
         # skipping the identifiability gate accepts the same model
         chf.validate(carma21, require_coprime=False)
+        # a zero at -1 shared with a triple or higher AR root at -1
+        for a, b in (
+            ([3.0, 3.0, 1.0], [1.0, 1.0]),
+            ([4.0, 6.0, 4.0, 1.0], [1.0, 1.0]),
+            ([4.0, 6.0, 4.0, 1.0], [1.0, 2.0, 1.0]),
+            ([5.0, 10.0, 10.0, 5.0, 1.0], [1.0, 1.0]),
+        ):
+            with pytest.raises(ModelError) as exc:
+                chf.validate(CarmaModel(a, b))
+            assert exc.value.reason == "common_zeros"
+            chf.validate(CarmaModel(a, b), require_coprime=False)
 
     def test_bad_orders(self):
         with pytest.raises(ModelError) as exc:
@@ -31,9 +42,11 @@ class TestValidate:
         assert exc.value.reason == "bad_orders"
 
     def test_unstable(self):
-        with pytest.raises(ModelError) as exc:
-            chf.validate(CarmaModel([-1.0], [1.0]))
-        assert exc.value.reason == "unstable_ar"
+        # a root at 1, roots at +-i and a root at 0: the boundary is unstable
+        for a in ([-1.0], [0.0, 1.0], [0.0]):
+            with pytest.raises(ModelError) as exc:
+                chf.validate(CarmaModel(a, [1.0]))
+            assert exc.value.reason == "unstable_ar"
 
     def test_nonpositive_sigma2(self):
         with pytest.raises(ModelError) as exc:
@@ -49,9 +62,27 @@ class TestCompanion:
         assert np.allclose(A[:-1, 0], 0.0)
 
     def test_eigenvalues_match_ar_roots(self, carma30):
-        eig = np.sort_complex(np.linalg.eigvals(carma30.companion()))
-        roots = np.sort_complex(ar_roots(carma30).values())
-        assert np.allclose(eig, roots, atol=1e-8)
+        assert np.allclose(np.sort_complex(ar_roots(carma30)), [-3.0, -2.0, -1.0], atol=1e-12)
+        # a triple root at -1 splits by about eps^(1/3) and stays in the left half plane
+        triple = ar_roots(CarmaModel([3.0, 3.0, 1.0], [1.0]))
+        assert len(triple) == 3 and np.all(triple.real < 0.0)
+        assert np.all(np.abs(triple + 1.0) < 1e-4)
+
+    def test_model_layer_never_calls_aberth(self, carma30, monkeypatch):
+        from carmahf import cli, poly
+
+        def boom(coeffs):
+            raise AssertionError("Aberth called outside the spectral factorization")
+
+        monkeypatch.setattr(poly, "_aberth", boom)
+        m = CarmaModel([6.0, 12.0, 8.0], [1.0, 1.0])  # triple root at -2
+        for model in (carma30, m):
+            chf.validate(model)
+            chf.filter_coefficients(model, 0.1)
+            chf.spectral_density_sampled(model, 0.1, [0.5, 1.0])
+            chf.acvf_filtered(model, 0.1, 1)
+            assert cli._auto_omega_max(model) > 10.0
+            chf.simulate_euler(model, 0.5, 10, 1, chf.DriverSpec(), seed=0)
 
     def test_p1_scalar(self, ou):
         assert ou.companion() == np.array([[-1.0]])

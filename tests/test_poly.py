@@ -97,11 +97,11 @@ def test_conjugate_closure_random():
 
 
 def test_is_stable():
-    assert is_stable(find_roots(Polynomial([2, 3, 1])))
-    from carmahf.poly import RootSet
-
-    assert not is_stable(RootSet(((0.5 + 0j, 1),)))
-    assert not is_stable(RootSet(((0.0 + 0j, 1),)))  # boundary counts as unstable
+    assert is_stable(np.roots([1, 3, 2]))
+    assert is_stable(np.array([-1.0 + 2j, -1.0 - 2j]))
+    assert not is_stable(np.array([-1.0, 0.5]))
+    assert not is_stable(np.array([0.0]))  # boundary counts as unstable
+    assert not is_stable(np.array([1j, -1j]))
 
 
 def test_coprime():
@@ -110,3 +110,8 @@ def test_coprime():
     assert coprime(a, Polynomial([5, 1]))
     assert coprime(Polynomial([1, 1]), Polynomial([1]))  # constant b
     assert not coprime(a, Polynomial([0]))  # zero polynomial shares everything
+    # shared repeated zeros at -1: (z+1)^k against z+1 or (z+1)^2
+    for k, b in ((3, [1, 1]), (4, [1, 1]), (4, [1, 2, 1]), (5, [1, 1])):
+        assert not coprime(Polynomial(np.poly(-np.ones(k))[::-1]), Polynomial(b))
+    # a shared double root: b at the split roots of a is just over tolerance
+    assert not coprime(Polynomial([2, 5, 4, 1]), Polynomial([1, 1]))

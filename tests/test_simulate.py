@@ -135,6 +135,12 @@ class TestSimulateGaussianExact:
         r = chf.simulate_gaussian_exact(m, 0.1, 50, seed=1)
         assert np.array_equal(r.y, np.zeros(50))
 
+    def test_empty_and_negative_length(self, carma30):
+        r = chf.simulate_gaussian_exact(carma30, 0.1, 0, seed=1)
+        assert r.y.shape == (0,)
+        with pytest.raises(ValueError, match="path length n must be >= 0"):
+            chf.simulate_gaussian_exact(carma30, 0.1, -1, seed=1)
+
     def test_repeated_root_stationary_variance(self):
         # defective companion matrix: a double root at -1
         m = CarmaModel([2.0, 1.0], [1.0])
@@ -177,6 +183,12 @@ class TestSimulateEuler:
     def test_substeps_validation(self, ou):
         with pytest.raises(ValueError):
             chf.simulate_euler(ou, 0.1, 100, substeps=0, driver=DriverSpec(), seed=1)
+
+    def test_empty_and_negative_length(self, ou):
+        r = chf.simulate_euler(ou, 0.1, 0, substeps=2, driver=DriverSpec(), seed=1)
+        assert r.y.shape == (0,)
+        with pytest.raises(ValueError, match="path length n must be >= 0"):
+            chf.simulate_euler(ou, 0.1, -1, substeps=2, driver=DriverSpec(), seed=1)
 
 
 class TestEmpiricalFilteredAcvf:
