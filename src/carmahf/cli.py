@@ -134,6 +134,7 @@ def cmd_spectrum(args) -> int:
     model = load_model(args.model)
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
     _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+    _require(0 <= args.omega_max < np.inf, "--omega-max must be finite and >= 0")
     if args.which == "continuous":
         omax = args.omega_max if args.omega_max else _auto_omega_max(model)
         grid = np.linspace(-omax, omax, args.grid_points)
@@ -182,8 +183,10 @@ def _parse_sweep(text: str) -> list:
         start, stop, factor = (float(x) for x in text.split(":"))
     except ValueError:
         raise CliError(EXIT_VALIDATION, "--delta-sweep must be start:stop:factor")
-    if start <= 0 or stop <= 0 or not 0 < factor < 1:
-        raise CliError(EXIT_VALIDATION, "sweep requires positive start/stop and factor in (0, 1)")
+    _require(
+        0 < stop <= start < np.inf and 0 < factor < 1,
+        "--delta-sweep requires finite start >= stop > 0 and factor in (0, 1)",
+    )
     deltas = []
     d = start
     while d >= stop * (1.0 - 1e-12):

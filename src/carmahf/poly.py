@@ -16,6 +16,7 @@ import numpy as np
 CLUSTER_RADIUS = 1e-6
 STABILITY_MARGIN = 1e-12
 COPRIME_TOL = 1e-8
+BACKWARD_TOL = 1e-12
 
 _MAX_ITER = 500
 _STEP_TOL = 1e-13
@@ -212,15 +213,25 @@ def is_stable(roots) -> bool:
 def coprime(a: Polynomial, b: Polynomial) -> bool:
     """True iff ``a`` and ``b`` share no (numerical) zero.
 
-    Checked both ways, each polynomial at the other's roots against
-    ``COPRIME_TOL`` times its own largest coefficient.  An m-fold root's
-    companion eigenvalues split by about eps^(1/m), so a shared zero shows
-    reliably only in the polynomial evaluated at the less repeated roots.
+    ``b`` is evaluated at the companion eigenvalues of ``a`` against
+    ``COPRIME_TOL`` times its largest coefficient.  An m-fold root of ``a``
+    splits into eigenvalues about eps^(1/m) apart, so that test misses a zero
+    that ``a`` holds more often than ``b``.  Such a zero is caught the other
+    way: some root z of ``b`` is then a zero of ``a`` to rounding, i.e.
+    |a(z)| <= ``BACKWARD_TOL`` * sum_k |a_k| |z|^k.  The bound is kept at
+    rounding level because ``a`` near an m-fold root grows only like d^m
+    with the distance d, so a looser one would merge zeros that are clearly
+    apart.
     """
-    for f, g in ((b, a), (a, b)):
-        scale = max(abs(c) for c in f.coeffs)
-        if scale == 0.0:
+    if not any(a.coeffs) or not any(b.coeffs):
+        return False
+    if a.degree >= 1:
+        at_a = np.abs(b.eval(np.roots(a.coeffs[::-1])))
+        if np.min(at_a) <= COPRIME_TOL * max(abs(c) for c in b.coeffs):
             return False
-        if g.degree >= 1 and np.min(np.abs(f.eval(np.roots(g.coeffs[::-1])))) <= COPRIME_TOL * scale:
+    if b.degree >= 1:
+        z = np.roots(b.coeffs[::-1])
+        bound = Polynomial(np.abs(a.coeffs)).eval(np.abs(z)).real
+        if np.any(np.abs(a.eval(z)) <= BACKWARD_TOL * bound):
             return False
     return True

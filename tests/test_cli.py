@@ -178,10 +178,17 @@ class TestValidate:
         (["validate", "--paths", "0"], "--paths must be >= 1"),
         (["validate", "--paths", "-1"], "--paths must be >= 1"),
         (["validate", "--seed", "-1"], "--seed must be >= 0"),
+        (["validate", "--delta-sweep", "0.001:0.01:0.5"], "--delta-sweep requires finite start >= stop"),
+        (["validate", "--delta-sweep", "inf:0.001:0.5"], "--delta-sweep requires finite start >= stop"),
+        (["validate", "--delta-sweep", "nan:0.001:0.5"], "--delta-sweep requires finite start >= stop"),
+        (["spectrum", "--which", "continuous", "--omega-max", "nan"], "--omega-max must be finite and >= 0"),
+        (["spectrum", "--which", "continuous", "--omega-max", "inf"], "--omega-max must be finite and >= 0"),
+        (["spectrum", "--which", "continuous", "--omega-max", "-1"], "--omega-max must be finite and >= 0"),
     ],
     ids=[
         "acvf-delta-0", "acvf-delta-inf", "acvf-lags", "spectrum-delta-neg", "spectrum-delta-nan",
         "sampled-arma-delta", "length-0", "length-50", "paths-0", "paths-neg", "seed-neg",
+        "sweep-rising", "sweep-inf", "sweep-nan", "omega-max-nan", "omega-max-inf", "omega-max-neg",
     ],
 )
 def test_bad_numeric_argument_rejected(model_file, capsys, args, message):

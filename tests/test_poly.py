@@ -115,3 +115,7 @@ def test_coprime():
         assert not coprime(Polynomial(np.poly(-np.ones(k))[::-1]), Polynomial(b))
     # a shared double root: b at the split roots of a is just over tolerance
     assert not coprime(Polynomial([2, 5, 4, 1]), Polynomial([1, 1]))
+    # distinct zeros near a repeated root of a: a at the root of b is only
+    # d^m, yet the zeros are clearly apart
+    for k, b in ((5, [1.03, 1]), (3, [1.003, 1]), (2, [1.0001, 1])):
+        assert coprime(Polynomial(np.poly(-np.ones(k))[::-1]), Polynomial(b))
