@@ -7,16 +7,18 @@ coordinates that every Delta-grid quantity derives from.  Everything goes
 through the matrix exponential and the Lyapunov equation, never through the
 autoregressive roots, so every root multiplicity takes the same route.  The
 roots themselves (:func:`ar_roots`, the companion eigenvalues) serve only the
-stability check and coarse scale estimates.
+stability check and coarse scale estimates.  The exponential (Al-Mohy &
+Higham scaling and squaring) and the Lyapunov solve (one Kronecker system)
+need numpy alone, so no command that does not simulate loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import poly
 from .poly import Polynomial
@@ -110,17 +112,119 @@ def validate(model: CarmaModel, require_coprime: bool = True) -> CarmaModel:
     return model
 
 
+#: theta_m of Al-Mohy & Higham (2009, Table 3.1): the [m/m] Pade approximant
+#: of e^A has backward error below unit roundoff while its eta-norm is at most
+#: theta_m.  Degree 13 is the one that scaling and squaring falls back to.
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+#: Coefficients b_0..b_m of the [m/m] Pade approximant, b_j ~ (2m-j)! / (j! (m-j)!).
+_PADE = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)] for m in _THETA}
+#: 1/|c_(2m+1)| = (2m)! (2m+1)! / (m!)^2, the leading backward-error coefficient.
+_ERR_RECIP = {m: math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2 for m in _THETA}
+
+
+def _norm1(X: np.ndarray) -> float:
+    return float(np.abs(X).sum(0).max())
+
+
+def _ell(absA: np.ndarray, norm: float, m: int) -> int:
+    """Extra squarings ell(A, m) that keep the Pade truncation error at rounding level.
+
+    Al-Mohy & Higham (2009, eq. 5.1) from ``absA`` = abs(A) and ``norm`` =
+    ||A||_1: with alpha = |c_(2m+1)| ||abs(A)^(2m+1)||_1 / ||A||_1,
+    ell = max(ceil(log2(alpha / u) / (2m)), 0).  The power of abs(A) comes
+    by binary powering, its 1-norm from a row of column sums.
+    """
+    P, k, w = absA, 2 * m + 1, None
+    while True:
+        if k & 1:
+            w = P.sum(0) if w is None else w @ P
+        k >>= 1
+        if not k:
+            break
+        P = P @ P
+    alpha = float(w.max()) / (norm * _ERR_RECIP[m]) * 2.0**53 if norm else 0.0
+    return max(math.ceil(math.log2(alpha) / (2 * m)), 0) if alpha > 1.0 else 0
+
+
+def _pade_degree(A: np.ndarray) -> tuple:
+    """Pade degree m, squarings s and the even powers [I, A^2, ...] for e^A.
+
+    Al-Mohy & Higham (2009, Algorithm 5.1) with exact 1-norms: m is the first
+    of 3, 5, 7, 9 whose eta-norm max(||A^(2j)||^(1/2j),
+    ||A^(2j+2)||^(1/(2j+2))) is within theta_m and needs no extra squaring;
+    otherwise m = 13 with s halvings of A, s = None when A is not finite.
+    """
+    absA = np.abs(A)
+    norm = float(absA.sum(0).max())
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    P = [np.eye(len(A)), A2, A4, A6]
+    d6 = _norm1(A6) ** (1 / 6)
+    eta = max(_norm1(A4) ** 0.25, d6)
+    for m in (3, 5, 7, 9):
+        if m == 7:
+            P.append(A4 @ A4)
+            d8 = _norm1(P[4]) ** 0.125
+            eta = max(d6, d8)
+        if eta <= _THETA[m] and _ell(absA, norm, m) == 0:
+            return m, 0, P[: m // 2 + 1]
+    eta = min(eta, max(d8, _norm1(A4 @ A6) ** 0.1))
+    if not math.isfinite(eta):
+        return 13, None, P[:4]
+    s = math.ceil(math.log2(eta / _THETA[13])) if eta > _THETA[13] else 0
+    s += _ell(absA * 2.0**-s, norm * 2.0**-s, 13)
+    return 13, s, P[:4]
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """e^A for one n x n matrix, n >= 2: the [m/m] Pade approximant of
+    2^-s A from (V - U) X = V + U, squared s times."""
+    m, s, P = _pade_degree(A)
+    b = _PADE[m]
+    if m < 13:
+        U = A @ sum(c * X for c, X in zip(b[1::2], P))
+        V = sum(c * X for c, X in zip(b[0::2], P))
+        return np.linalg.solve(V - U, V + U)
+    if s is None:
+        return np.full(A.shape, np.nan)
+    I, A2, A4, A6 = P
+    A, A2, A4, A6 = A * 2.0**-s, A2 * 2.0 ** (-2 * s), A4 * 2.0 ** (-4 * s), A6 * 2.0 ** (-6 * s)
+    U = A @ (A6 @ (b[9] * A2 + b[11] * A4 + b[13] * A6) + (b[1] * I + b[3] * A2 + b[5] * A4 + b[7] * A6))
+    V = A6 @ (b[8] * A2 + b[10] * A4 + b[12] * A6) + (b[0] * I + b[2] * A2 + b[4] * A4 + b[6] * A6)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
-    return scipy.linalg.expm(np.asarray(M, dtype=float))
+    """Matrix exponential of one matrix (n, n) or of each slice of a stack (..., n, n).
+
+    Scaling and squaring with a diagonal Pade approximant, the degree and the
+    number of squarings chosen per matrix as in Al-Mohy & Higham (2009), *A
+    new scaling and squaring algorithm for the matrix exponential*, SIAM J.
+    Matrix Anal. Appl. 31(3), with exact 1-norms since n is at most 2p here.
+    1 x 1 matrices take ``np.exp``; a matrix with non-finite entries, or
+    whose powers overflow, gives NaN.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.shape[-1] == 1:
+        return np.exp(A)
+    if A.ndim == 2:
+        return _expm(A)
+    out = np.empty(A.shape)
+    for i in np.ndindex(A.shape[:-2]):
+        out[i] = _expm(A[i])
+    return out
 
 
 def kernel_values(model: CarmaModel, t) -> np.ndarray:
     """The causal kernel g evaluated on an array of times.
 
-    g(t) = b^T e^(At) e_p for t > 0 and 0 for t < 0, from one batched matrix
-    exponential.  At t = 0 the right limit g(0+) is returned (relevant only
-    when p - q = 1).
+    g(t) = b^T e^(At) e_p for t > 0 and 0 for t < 0, from one matrix
+    exponential per time.  At t = 0 the right limit g(0+) is returned
+    (relevant only when p - q = 1).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t.shape)
@@ -151,19 +255,26 @@ def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
 
 @lru_cache(maxsize=256)
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
-    """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T."""
+    """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T.
+
+    Solved as one p^2-unknown linear system (I (x) A + A (x) I) vec Sigma =
+    -vec(e_p e_p^T); p is small, and the Kronecker sum is nonsingular because
+    no two AR roots sum to zero in the open left half plane.
+    """
+    p = model.p
     A = model.companion()
-    rhs = np.zeros((model.p, model.p))
-    rhs[-1, -1] = -1.0
-    sigma = scipy.linalg.solve_continuous_lyapunov(A, rhs)
+    I = np.eye(p)
+    rhs = np.zeros(p * p)
+    rhs[-1] = -1.0
+    sigma = np.linalg.solve(np.kron(I, A) + np.kron(A, I), rhs).reshape(p, p)
     return 0.5 * (sigma + sigma.T)
 
 
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     """Autocovariance gamma_Y(h) of the continuous-time process.
 
-    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, from one batched
-    matrix exponential; valid for every root multiplicity.
+    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, from one matrix
+    exponential per lag; valid for every root multiplicity.
     """
     h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
     b = model.b_vector()

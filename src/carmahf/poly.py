@@ -15,7 +15,6 @@ import numpy as np
 
 CLUSTER_RADIUS = 1e-6
 STABILITY_MARGIN = 1e-12
-COPRIME_TOL = 1e-8
 BACKWARD_TOL = 1e-12
 
 _MAX_ITER = 500
@@ -213,25 +212,20 @@ def is_stable(roots) -> bool:
 def coprime(a: Polynomial, b: Polynomial) -> bool:
     """True iff ``a`` and ``b`` share no (numerical) zero.
 
-    ``b`` is evaluated at the companion eigenvalues of ``a`` against
-    ``COPRIME_TOL`` times its largest coefficient.  An m-fold root of ``a``
-    splits into eigenvalues about eps^(1/m) apart, so that test misses a zero
-    that ``a`` holds more often than ``b``.  Such a zero is caught the other
-    way: some root z of ``b`` is then a zero of ``a`` to rounding, i.e.
-    |a(z)| <= ``BACKWARD_TOL`` * sum_k |a_k| |z|^k.  The bound is kept at
-    rounding level because ``a`` near an m-fold root grows only like d^m
-    with the distance d, so a looser one would merge zeros that are clearly
-    apart.
+    A root z of one polynomial counts as a zero of the other, p, when it is
+    one to rounding: |p(z)| <= ``BACKWARD_TOL`` * sum_k |p_k| |z|^k.  Both
+    ways are checked, each at the ``np.roots`` of one polynomial.  An m-fold
+    root splits into roots about eps^(1/m) apart, so only the polynomial
+    evaluated at the roots of the one holding a shared zero less often reads
+    it at rounding level; and p near an m-fold zero grows only like d^m with
+    the distance d, so a looser bound would merge zeros that are clearly apart.
     """
     if not any(a.coeffs) or not any(b.coeffs):
         return False
-    if a.degree >= 1:
-        at_a = np.abs(b.eval(np.roots(a.coeffs[::-1])))
-        if np.min(at_a) <= COPRIME_TOL * max(abs(c) for c in b.coeffs):
-            return False
-    if b.degree >= 1:
-        z = np.roots(b.coeffs[::-1])
-        bound = Polynomial(np.abs(a.coeffs)).eval(np.abs(z)).real
-        if np.any(np.abs(a.eval(z)) <= BACKWARD_TOL * bound):
-            return False
+    for p, other in ((b, a), (a, b)):
+        if other.degree >= 1:
+            z = np.roots(other.coeffs[::-1])
+            bound = Polynomial(np.abs(p.coeffs)).eval(np.abs(z)).real
+            if np.any(np.abs(p.eval(z)) <= BACKWARD_TOL * bound):
+                return False
     return True

@@ -5,7 +5,9 @@ Brownian or compound-Poisson drivers, and the empirical second-order
 estimators used as Monte Carlo oracles.  Both simulators run the state
 recursion through one propagator, the complex Schur form of the transition
 matrix solved channel by channel with LAPACK, which takes every root
-multiplicity the same way and needs nothing beyond ``scipy.linalg``.
+multiplicity the same way.  The propagator is the package's only use of
+scipy: it imports ``scipy.linalg`` when it first runs, so importing this
+module, or any other, loads no scipy.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import core, sampling
 from .core import CarmaModel
@@ -101,6 +102,8 @@ def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, e: np.ndarray, x
     sum_{j>i} T_ij z_j[k-1] from the channels already solved.  Z is unitary,
     so every root multiplicity takes this route with no conditioning gate.
     """
+    import scipy.linalg
+
     T, Z = scipy.linalg.schur(F, output="complex")
     z = np.empty((len(x0), len(e) + 1), dtype=complex)
     z[:, 0] = Z.conj().T @ x0

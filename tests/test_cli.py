@@ -226,21 +226,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "lag,gamma,mode" in proc.stdout
 
-    def test_import_skips_unused_scipy_subpackages(self):
-        # These take most of a cold import and no command needs them.
+    def test_import_skips_unused_scipy_subpackages(self, model_file):
+        # A fresh import loads no scipy module: only the simulators use scipy,
+        # and they import it when they run, as validate does here.
         code = (
-            "import sys, carmahf.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
-            "if m in sys.modules))"
+            "import sys, carmahf, carmahf.cli\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"code = carmahf.cli.main(['validate', {model_file!r}, '--delta-sweep', '0.004:0.001:0.5', "
+            "'--length', '120000', '--seed', '42', '--no-timestamp', '--output', sys.argv[1]])\n"
+            "print(code, 'scipy.linalg' in loaded())\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, os.devnull],
             capture_output=True,
             text=True,
             env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "0 True"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 
 import carmahf as chf
@@ -35,6 +36,12 @@ class TestValidate:
                 chf.validate(CarmaModel(a, b))
             assert exc.value.reason == "common_zeros"
             chf.validate(CarmaModel(a, b), require_coprime=False)
+
+    def test_distinct_zeros_near_repeated_root(self):
+        # -1.003 and a triple -1 are clearly apart, whichever polynomial holds which
+        for a_roots, b_roots in (([-1.003, -2, -2, -2], [-1, -1, -1]), ([-1, -1, -1, -2], [-1.003])):
+            m = CarmaModel(np.poly(a_roots)[1:], np.poly(b_roots)[::-1])
+            assert chf.validate(m) is m
 
     def test_bad_orders(self):
         with pytest.raises(ModelError) as exc:
@@ -193,9 +200,72 @@ class TestSpectralDensityContinuous:
         assert total == pytest.approx(chf.acvf_continuous(carma20, 0.0), rel=1e-6)
 
 
+EPS = np.finfo(float).eps
+
+
+def mp_expm(M):
+    """e^M to 60 digits, rounded to floats."""
+    with mp.workdps(60):
+        return np.array(mp.expm(mp.matrix(M.tolist())).tolist(), dtype=float)
+
+
+def max_rel_error(got, ref):
+    """Largest entry error relative to the largest entry of the reference."""
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
 class TestMatrixExp:
+    # (a, b) with distinct, double, quadruple and nearly repeated AR roots
+    VAN_LOAN_MODELS = (
+        ([6.0, 11.0, 6.0], [1.0]),
+        ([2.0, 1.0], [1.0]),
+        ([4.0, 6.0, 4.0, 1.0], [1.0, 1.0]),
+        (np.poly([-1.0, -1.001, -2.0])[1:], [0.5, 1.0]),
+    )
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-5])
+    @pytest.mark.parametrize("a, b", VAN_LOAN_MODELS)
+    def test_van_loan_block_against_mpmath(self, a, b, delta):
+        # the Delta-scaled block of core.sampled_state_space, within 8 ulp of its norm
+        m = CarmaModel(a, b)
+        p, k = m.p, np.arange(m.p)
+        M = np.zeros((2 * p, 2 * p))
+        M[:p, :p] = m.companion() * delta ** (k[:, None] - k[None, :] + 1.0)
+        M[p:, p:] = -M[:p, :p].T
+        M[p - 1, 2 * p - 1] = delta
+        assert max_rel_error(chf.matrix_exp(M), mp_expm(M)) <= 8 * EPS
+
+    def test_scaled_degree_13_against_mpmath(self):
+        # an unscaled A Delta at Delta = 1 needs degree 13 and two squarings; 16 ulp
+        from carmahf.core import _pade_degree
+
+        A = CarmaModel([10.0, 35.0, 50.0, 24.0, 5.0], [1.0]).companion()
+        m, s, _ = _pade_degree(A)
+        assert m == 13 and s > 0
+        assert max_rel_error(chf.matrix_exp(A), mp_expm(A)) <= 16 * EPS
+
+    def test_stack_against_mpmath(self):
+        # each slice scaled and squared on its own; 16 ulp per slice
+        A = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0]).companion()
+        ts = np.array([0.0, 1e-5, 0.3, 2.0, 7.5])
+        got = chf.matrix_exp(A * ts[:, None, None])
+        assert got.shape == (len(ts), 4, 4)
+        for t, E in zip(ts, got):
+            assert max_rel_error(E, mp_expm(A * t)) <= 16 * EPS
+
+    def test_empty_stack_and_one_by_one(self):
+        assert chf.matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert chf.matrix_exp(np.array([[-0.7]]))[0, 0] == np.exp(-0.7)
+        assert chf.matrix_exp(np.full((4, 1, 1), -2.5)).ravel().tolist() == [np.exp(-2.5)] * 4
+
     def test_zero(self):
-        assert np.allclose(chf.matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(chf.matrix_exp(np.zeros((3, 3))), np.eye(3))
+
+    def test_non_finite_gives_nan(self):
+        # a NaN entry, and entries whose powers overflow (a sampled block at Delta = 1e200)
+        for M in ([[np.nan, 0.0], [0.0, 1.0]], [[1e300, 1.0], [0.0, 1.0]]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(chf.matrix_exp(np.array(M))).all()
 
     def test_diagonal(self):
         got = chf.matrix_exp(np.diag([-1.0, -2.0]))
@@ -221,6 +291,18 @@ class TestStationaryStateCovariance:
     def test_carma20_closed_form(self, carma20):
         sigma = chf.stationary_state_covariance(carma20)
         assert np.allclose(sigma, [[1 / 12, 0.0], [0.0, 1 / 6]], atol=1e-12)
+
+    @pytest.mark.parametrize("a", [[2.0, 1.0], [3.0, 3.0, 1.0], [4.0, 6.0, 4.0, 1.0], [5.0, 10.0, 10.0, 5.0, 1.0]])
+    def test_repeated_roots_against_mpmath(self, a):
+        # (z+1)^p: the Kronecker system solved in 50 digits; 16 ulp of the norm
+        m = CarmaModel(a, [1.0])
+        p, A = m.p, m.companion()
+        with mp.workdps(50):
+            K = mp.matrix((np.kron(np.eye(p), A) + np.kron(A, np.eye(p))).tolist())
+            rhs = mp.matrix(p * p, 1)
+            rhs[p * p - 1] = -1
+            ref = np.array([float(x) for x in mp.lu_solve(K, rhs)]).reshape(p, p)
+        assert max_rel_error(chf.stationary_state_covariance(m), ref) <= 16 * EPS
 
     def test_lyapunov_residual_and_consistency(self):
         rng = np.random.default_rng(13)

@@ -119,3 +119,5 @@ def test_coprime():
     # d^m, yet the zeros are clearly apart
     for k, b in ((5, [1.03, 1]), (3, [1.003, 1]), (2, [1.0001, 1])):
         assert coprime(Polynomial(np.poly(-np.ones(k))[::-1]), Polynomial(b))
+        # the same zeros with the repeated one in b: b at the root of a is only d^m
+        assert coprime(Polynomial(b), Polynomial(np.poly(-np.ones(k))[::-1]))
