@@ -40,7 +40,7 @@ from .factorization import (
     sampled_arma,
     spectral_factorize,
 )
-from .poly import Polynomial, RootSet, coprime, find_roots, is_stable
+from .poly import Polynomial, coprime, find_roots, is_stable
 from .sampling import (
     CoarseSamplingWarning,
     CovSequence,
@@ -70,7 +70,6 @@ __all__ = [
     "FactorizationError",
     "ModelError",
     "Polynomial",
-    "RootSet",
     "SampledArma",
     "SimulationResult",
     "acvf_continuous",

@@ -1,8 +1,8 @@
 """Small-Delta limit formulas.
 
 The odd-coefficient series c_k(omega), the asymptotic filtered spectral
-density and autocovariances, the closed-form limit MA models for
-p - q in {1, 2, 3}, and the differenced-spectrum form.
+density and autocovariances, the limit MA model for every p - q >= 1,
+and the differenced-spectrum form.
 
 The asymptotic autocovariance coefficients are one central difference of
 the generalized covariance of integrated Brownian motion.  The terms of
@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CarmaModel
+from .factorization import spectral_factorize
 
 #: Exclusion zone around omega = 0, where c_k(omega) has a pole.
 OMEGA_TOL = 1e-8
@@ -108,7 +109,7 @@ def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticMa:
-    """Closed-form limit MA model for d = p - q in {1, 2, 3}.
+    """Limit MA model for d = p - q >= 1.
 
     The limit moving average is (1 + theta_1 B + ...) (1 - B)^q with
     innovation variance tau2_scale * sigma^2 * Delta^(2d-1); ``theta`` is the
@@ -121,18 +122,15 @@ class AsymptoticMa:
 
 
 def limit_ma_model(d: int) -> AsymptoticMa:
-    """Tabulated limit MA coefficients and innovation-variance scale."""
-    if d == 1:
-        return AsymptoticMa(d=1, theta=(), tau2_scale=1.0)
-    if d == 2:
-        return AsymptoticMa(d=2, theta=(2.0 - math.sqrt(3.0),), tau2_scale=(2.0 + math.sqrt(3.0)) / 6.0)
-    if d == 3:
-        r30 = math.sqrt(30.0)
-        t1 = 13.0 - math.sqrt(135.0 + 4.0 * r30)
-        t2 = 2.0 * (8.0 + r30) - math.sqrt(375.0 + 64.0 * r30)
-        scale = (2.0 * (8.0 + r30) + math.sqrt(375.0 + 64.0 * r30)) / 120.0
-        return AsymptoticMa(d=3, theta=(t1, t2), tau2_scale=scale)
-    raise ValueError(f"no closed-form limit MA model for p - q = {d}; supported d are 1, 2, 3")
+    """Invertible factor of the limit covariances gamma_MA(d, 0, n), n < d.
+
+    Their generating polynomial is the Euler-Frobenius polynomial, whose
+    zeros are real, negative, simple and in reciprocal pairs.
+    """
+    if d < 1:
+        raise ValueError(f"the limit MA model needs p - q >= 1, got {d}")
+    theta, tau2 = spectral_factorize([float(gamma_ma_asymptotic_coefficient(d, 0, n)) for n in range(d)])
+    return AsymptoticMa(d, tuple(theta), tau2)
 
 
 def differenced_spectrum_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:

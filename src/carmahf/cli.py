@@ -65,6 +65,12 @@ def _require(ok: bool, message: str) -> None:
         raise CliError(EXIT_VALIDATION, message)
 
 
+def _require_finite(values, what: str, delta: float) -> None:
+    """Refuse to emit a computed value that overflowed to inf or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise CliError(EXIT_NUMERIC, f"{what} is not finite at delta = {delta!r}")
+
+
 def _model_echo(model: CarmaModel) -> dict:
     echo = {"a": list(model.a), "b": list(model.b), "sigma2": model.sigma2}
     if model.label is not None:
@@ -106,13 +112,12 @@ def cmd_acvf(args) -> int:
     model = load_model(args.model)
     _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
     _require(args.lags >= 0, "--lags must be >= 0")
-    rows = []
-    for lag in range(args.lags + 1):
-        if args.mode == "exact":
-            val = sampling.acvf_filtered(model, args.delta, lag)
-        else:
-            val = asymptotics.gamma_ma_asymptotic(model, args.delta, lag)
-        rows.append([lag, repr(float(val)), args.mode])
+    if args.mode == "exact":
+        vals = [sampling.acvf_filtered(model, args.delta, lag) for lag in range(args.lags + 1)]
+    else:
+        vals = [asymptotics.gamma_ma_asymptotic(model, args.delta, lag) for lag in range(args.lags + 1)]
+    _require_finite(vals, "the autocovariance", args.delta)
+    rows = [[lag, repr(float(val)), args.mode] for lag, val in enumerate(vals)]
     meta = {"model": _model_echo(model), "delta": args.delta, "mode": args.mode}
     _emit(args, meta, ["lag", "gamma", "mode"], rows)
     return 0
@@ -151,6 +156,8 @@ def cmd_spectrum(args) -> int:
             vals = np.full(len(grid), np.nan)
             if mask.any():
                 vals[mask] = np.atleast_1d(asymptotics.f_ma_asymptotic(model, args.delta, grid[mask]))
+    if args.which != "asymptotic":
+        _require_finite(vals, "the spectral density", args.delta)
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
     meta = {"model": _model_echo(model), "delta": args.delta, "which": args.which}
     _emit(args, meta, ["omega", "f"], rows)

@@ -2,8 +2,10 @@
 
 Turns the filtered-sequence autocovariances into the invertible moving-average
 polynomial theta(B) and innovation variance tau^2 of the ARMA representation
-of the sampled process.  The factorization is root-based; the innovations
-recursion is kept as an independent verification oracle.
+of the sampled process.  The covariance generating polynomial is palindromic,
+so it is factored in w = z + 1/z, where each reciprocal root pair (r, 1/r) is
+one root w = r + 1/r; theta takes the member with |r| >= 1 of each.  The
+innovations recursion is kept as an independent verification oracle.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from . import core, poly, sampling
 from .core import CarmaModel
 from .sampling import CovSequence
 
-#: Reciprocal-pair matching tolerance for the roots of the covariance
-#: generating polynomial.
-PAIRING_TOL = 1e-6
-#: Roots this close to the unit circle are treated as boundary
-#: (non-invertible limit) and assigned once to the theta side.
+#: theta roots this close to the unit circle mark the non-invertible boundary.
 BOUNDARY_TOL = 1e-8
+#: Multiple of eps * sum_k |S_k| 2^k, a bound on the rounding error of S(w)
+#: on the segment [-2, 2] that the spectrum maps to.
+_SEGMENT_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 class FactorizationError(RuntimeError):
@@ -38,7 +39,8 @@ class SampledArma:
     ``phi`` are the AR coefficients (A_0=1, ..., A_p), ``theta`` the MA
     coefficients (theta_1, ..., theta_{p-1}) of an invertible theta(B), and
     ``tau2`` the innovation variance.  ``boundary`` is True when theta(B) has
-    a root on the unit circle, i.e. it is only the non-invertible limit.
+    a root within ``BOUNDARY_TOL`` of the unit circle, i.e. it is only the
+    non-invertible limit.
     """
 
     delta: float
@@ -58,11 +60,12 @@ def reconstruct_acvf(theta, tau2: float) -> np.ndarray:
 def spectral_factorize(cov) -> tuple[np.ndarray, float]:
     """Invertible MA factorization of a covariance sequence gamma(0..m).
 
-    Forms the covariance generating polynomial G(z) = sum_{|n|<=m}
-    gamma(n) z^(n+m), whose 2m roots occur in reciprocal pairs (z, 1/z);
-    theta is assembled from the root of each pair with modulus >= 1 and
-    tau^2 = gamma(0) / (1 + sum theta_j^2).  Warns when a root lies on the
-    unit circle.
+    The covariance generating polynomial sum_{|n|<=m} gamma(n) z^n equals
+    S(w) = gamma(0) + sum_{n>=1} gamma(n) D_n(w) in w = z + 1/z, where
+    D_n(w) = z^n + z^-n.  Each of the m roots w of S gives the root r of
+    z^2 - w z + 1 with |r| >= 1, theta(z) = prod(1 - z / r) and
+    tau^2 = gamma(0) / (1 + sum theta_j^2).  Warns when a root of theta lies
+    on the unit circle.
     """
     theta, tau2, _ = _factorize(cov)
     return theta, tau2
@@ -73,6 +76,8 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     gamma = np.asarray(getattr(cov, "values", cov), dtype=float)
     if gamma.ndim != 1 or len(gamma) == 0:
         raise ValueError("covariance sequence must be a non-empty 1-d array")
+    if not np.all(np.isfinite(gamma)):
+        raise FactorizationError("non_finite", f"covariance sequence is not finite: {gamma}")
     if gamma[0] <= 0.0:
         raise FactorizationError("not_psd", "gamma(0) must be positive")
     # Reduce the claimed order past exactly-zero trailing covariances.
@@ -86,45 +91,40 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     if m == 0:
         return np.zeros(0), float(gamma[0]), False
 
-    gen = np.concatenate([gamma[::-1], gamma[1:]])  # ascending in z, degree 2m
-    roots = list(poly.find_roots(poly.Polynomial(gen)).values())
-    roots.sort(key=lambda z: -abs(z))
-
-    theta_roots = []
-    boundary = False
-    remaining = roots
-    while remaining:
-        r = remaining.pop(0)
-        if not remaining:
-            raise FactorizationError("root_pairing_failure", "odd number of roots left unpaired")
-        scores = [abs(r * z - 1.0) for z in remaining]
-        j = int(np.argmin(scores))
-        if scores[j] > PAIRING_TOL * max(1.0, abs(r) ** 2):
-            raise FactorizationError(
-                "root_pairing_failure",
-                f"no reciprocal partner for root {r} (best mismatch {scores[j]:.3g})",
-            )
-        partner = remaining.pop(j)
-        if abs(abs(r) - 1.0) <= BOUNDARY_TOL:
-            boundary = True
-            theta_roots.append(r)
-        else:
-            theta_roots.append(r if abs(r) >= 1.0 else partner)
-
-    # theta(z) = prod(1 - z / r_j), normalized so theta_0 = 1.
-    c = np.array([1.0 + 0.0j])
-    for r in theta_roots:
-        nxt = np.zeros(len(c) + 1, dtype=complex)
-        nxt[: len(c)] += c
-        nxt[1:] -= c / r
-        c = nxt
-    if np.max(np.abs(c.imag)) > 1e-8 * np.max(np.abs(c)):
-        raise FactorizationError("root_pairing_failure", "theta coefficients are not real")
-    theta = c.real[1:] / c.real[0]
+    # S(w) in ascending powers, from D_0 = 2, D_1 = w, D_{n+1} = w D_n - D_{n-1}.
+    s = np.zeros(m + 1)
+    s[0] = gamma[0]
+    d_prev, d = np.array([2.0]), np.array([0.0, 1.0])
+    for g in gamma[1:]:
+        s[: len(d)] += g * d
+        d_prev, d = d, np.concatenate([[0.0], d]) - np.pad(d_prev, (0, 2))
+    theta, boundary = _theta(s)
+    if theta is None:
+        # Rounding put a root of S on (-2, 2): the computed spectrum dips below
+        # zero where gamma_MA is tiny, near omega = 0.  Factor the sequence
+        # within rounding of gamma that lifts S by its rounding bound there.
+        s[0] += _SEGMENT_ROUNDING * np.dot(np.abs(s), 2.0 ** np.arange(m + 1))
+        theta, boundary = _theta(s)
+        if theta is None:
+            raise FactorizationError("not_psd", "spectrum is negative beyond rounding: theta is not real")
     tau2 = gamma[0] / (1.0 + np.dot(theta, theta))
     if boundary:
         warnings.warn("unit-circle spectral roots: factorization is at the non-invertible boundary")
     return theta, float(tau2), boundary
+
+
+def _theta(s: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """theta from the roots of S(w), or None when it is not real; and the boundary flag."""
+    w = poly.find_roots(poly.Polynomial(s))
+    root = np.sqrt((w - 2.0) * (w + 2.0))
+    r = np.where(np.abs(w + root) >= np.abs(w - root), w + root, w - root) / 2.0
+    # theta(z) = prod(1 - z / r_j), normalized so theta_0 = 1.
+    c = np.array([1.0 + 0.0j])
+    for rj in r:
+        c = np.concatenate([c, [0.0]]) - np.concatenate([[0.0], c / rj])
+    if np.max(np.abs(c.imag)) > 1e-8 * np.max(np.abs(c)):
+        return None, False
+    return c.real[1:], bool(np.any(np.abs(np.abs(r) - 1.0) <= BOUNDARY_TOL))
 
 
 def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:

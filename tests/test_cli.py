@@ -148,6 +148,27 @@ class TestSampledArma:
         assert float(vals[("reconstruction_residual", "")]) < 1e-9
 
 
+CARMA30 = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "carma30.json")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sampled-arma", CARMA30, "--delta", "1e200"],
+        ["acvf", CARMA30, "--delta", "1e200", "--lags", "2"],
+        ["spectrum", CARMA30, "--delta", "1e200", "--which", "sampled", "--grid-points", "5"],
+        ["spectrum", CARMA30, "--delta", "1e200", "--which", "filtered", "--grid-points", "5"],
+    ],
+    ids=["sampled-arma", "acvf", "spectrum-sampled", "spectrum-filtered"],
+)
+def test_overflowing_delta_is_a_numeric_failure(args, capsys):
+    assert run_cli(args) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("carmahf: ") and "not finite" in err
+
+
 class TestValidate:
     def test_sweep_parsing_error(self, model_file):
         assert run_cli(["validate", model_file, "--delta-sweep", "bogus"]) == cli.EXIT_VALIDATION

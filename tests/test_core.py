@@ -75,22 +75,6 @@ class TestCompanion:
         assert len(triple) == 3 and np.all(triple.real < 0.0)
         assert np.all(np.abs(triple + 1.0) < 1e-4)
 
-    def test_model_layer_never_calls_aberth(self, carma30, monkeypatch):
-        from carmahf import cli, poly
-
-        def boom(coeffs):
-            raise AssertionError("Aberth called outside the spectral factorization")
-
-        monkeypatch.setattr(poly, "_aberth", boom)
-        m = CarmaModel([6.0, 12.0, 8.0], [1.0, 1.0])  # triple root at -2
-        for model in (carma30, m):
-            chf.validate(model)
-            chf.filter_coefficients(model, 0.1)
-            chf.spectral_density_sampled(model, 0.1, [0.5, 1.0])
-            chf.acvf_filtered(model, 0.1, 1)
-            assert cli._auto_omega_max(model) > 10.0
-            chf.simulate_euler(model, 0.5, 10, 1, chf.DriverSpec(), seed=0)
-
     def test_p1_scalar(self, ou):
         assert ou.companion() == np.array([[-1.0]])
 

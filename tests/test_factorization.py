@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, FactorizationError
+from carmahf import CarmaModel, FactorizationError, core, sampling
 from carmahf.factorization import innovations_check, reconstruct_acvf
 
 from conftest import corpus, random_stable_model
@@ -57,6 +57,12 @@ class TestSpectralFactorize:
     def test_not_psd(self):
         with pytest.raises(FactorizationError) as exc:
             chf.spectral_factorize([1.0, 1.1])
+        assert exc.value.reason == "not_psd"
+
+    def test_negative_spectrum(self):
+        # the Toeplitz matrix is PSD, but 1 + 1.2 cos(omega) < 0 near omega = pi
+        with pytest.raises(FactorizationError) as exc:
+            chf.spectral_factorize([1.0, 0.6])
         assert exc.value.reason == "not_psd"
 
     def test_nonpositive_gamma0(self):
@@ -115,7 +121,8 @@ class TestSampledArma:
             assert chf.reconstruction_residual(arma, cov) < 1e-10
 
     def test_boundary_flag_set(self):
-        # theta_1 = -1 - 1.9e-11 at delta = 1e-5: not invertible, only the limit
+        # theta_1 = -1 + 1.0e-8 at delta = 1e-5 (50-digit oracle): float gamma
+        # cannot resolve it from the unit circle, so only the limit is found
         m = CarmaModel([3.0, 2.0], [1e-3, 1.0])
         with pytest.warns(UserWarning, match="boundary"):
             arma = chf.sampled_arma(m, 1e-5)
@@ -128,3 +135,82 @@ class TestSampledArma:
         arma = chf.sampled_arma(m, 0.05)
         cov = chf.acvf_filtered_sequence(m, 0.05)
         assert chf.reconstruction_residual(arma, cov) < 1e-9
+
+
+def _strictly_invertible(theta) -> bool:
+    """Schur-Cohn step-down: every reflection coefficient of theta has |k| < 1."""
+    a = np.concatenate([[1.0], theta])
+    for k in range(len(a) - 1, 0, -1):
+        kappa = a[k]
+        if not abs(kappa) < 1.0:
+            return False
+        a = (a[:k] - kappa * a[k:0:-1]) / (1.0 - kappa * kappa)
+    return True
+
+
+@pytest.fixture
+def clear_caches():
+    def clear():
+        for module in (core, sampling):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+class TestSmallDelta:
+    """theta's zeros crowd toward z = 1 as delta -> 0; each case stays invertible."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_random_models(self, delta):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m = random_stable_model(rng, 5)
+            arma = chf.sampled_arma(m, delta)
+            assert _strictly_invertible(arma.theta)
+            cov = chf.acvf_filtered_sequence(m, delta)
+            assert chf.reconstruction_residual(arma, cov) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b, sigma2, delta",
+        [
+            ([6.017057893525042, 13.306090638378105, 7.950876149632643],
+             [-0.48999421839046886, -0.3077755996057354, 1.0], 1.4151082111492093, 1e-3),
+            ([7.325781233774103, 28.065279786004456, 45.4579796283586, 22.391243032351042],
+             [0.5581987484838622, 0.11121615828872478, 1.0], 0.6582725977207098, 1e-4),
+            ([7.325781233774103, 28.065279786004456, 45.4579796283586, 22.391243032351042],
+             [0.5581987484838622, 0.11121615828872478, 1.0], 0.6582725977207098, 1e-5),
+        ],
+        ids=["p3q2-1e-3", "p4q2-1e-4", "p4q2-1e-5"],
+    )
+    def test_one_ulp_perturbations(self, a, b, sigma2, delta, monkeypatch, clear_caches):
+        # Every entry of every matrix exponential moves by one ulp, either way.
+        rng = np.random.default_rng(3)
+        exact = core.matrix_exp
+
+        def perturbed(M):
+            E = exact(M)
+            return E + rng.choice([-1.0, 1.0], E.shape) * np.spacing(E)
+
+        monkeypatch.setattr(core, "matrix_exp", perturbed)
+        m = CarmaModel(a, b, sigma2=sigma2)
+        for _ in range(40):
+            clear_caches()
+            arma = chf.sampled_arma(m, delta)
+            cov = chf.acvf_filtered_sequence(m, delta)
+            assert chf.reconstruction_residual(arma, cov) <= 1e-12
+
+    def test_near_boundary_resolved(self):
+        # 60-digit reference: theta_1 + 1 = 1.0017e-7; the root is off the circle
+        arma = chf.sampled_arma(CarmaModel([3.0, 2.0], [1e-3, 1.0]), 1e-4)
+        assert not arma.boundary
+        assert arma.theta[0] + 1.0 == pytest.approx(1.0017e-7, abs=5e-9)
+
+    def test_near_boundary_invertible(self):
+        # 60-digit reference: theta_1 + 1 = 3.0000e-7
+        arma = chf.sampled_arma(CarmaModel([3.0, 2.0], [-0.03, 1.0]), 1e-5)
+        assert _strictly_invertible(arma.theta)
+        assert arma.theta[0] + 1.0 == pytest.approx(3.0000e-7, abs=5e-9)
