@@ -66,7 +66,7 @@ def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | floa
         model.sigma2
         / (2.0 * np.pi)
         * (-1.0) ** (d - 1)
-        * delta ** (2 * d - 1)
+        * np.float64(delta) ** (2 * d - 1)  # inf, not OverflowError, at huge delta
         * c
         * 2.0 ** (model.p - 1)
         * (1.0 - np.cos(np.atleast_1d(w))) ** model.p
@@ -104,7 +104,8 @@ def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
 def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:
     """Leading-order gamma_MA(n) as Delta -> 0."""
     coef = gamma_ma_asymptotic_coefficient(model.p, model.q, n)
-    return float(coef) * model.sigma2 * delta ** (2 * (model.p - model.q) - 1)
+    # a numpy power overflows to inf where a Python float power raises OverflowError
+    return float(coef) * model.sigma2 * float(np.float64(delta) ** (2 * (model.p - model.q) - 1))
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def cmd_acvf(args) -> int:
     _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
     _require(args.lags >= 0, "--lags must be >= 0")
     if args.mode == "exact":
-        vals = [sampling.acvf_filtered(model, args.delta, lag) for lag in range(args.lags + 1)]
+        vals = sampling.acvf_filtered_sequence(model, args.delta, args.lags).values
     else:
         vals = [asymptotics.gamma_ma_asymptotic(model, args.delta, lag) for lag in range(args.lags + 1)]
     _require_finite(vals, "the autocovariance", args.delta)
@@ -140,6 +140,7 @@ def cmd_spectrum(args) -> int:
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
     _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
     _require(0 <= args.omega_max < np.inf, "--omega-max must be finite and >= 0")
+    mask = slice(None)  # the values that must be finite
     if args.which == "continuous":
         omax = args.omega_max if args.omega_max else _auto_omega_max(model)
         grid = np.linspace(-omax, omax, args.grid_points)
@@ -156,8 +157,7 @@ def cmd_spectrum(args) -> int:
             vals = np.full(len(grid), np.nan)
             if mask.any():
                 vals[mask] = np.atleast_1d(asymptotics.f_ma_asymptotic(model, args.delta, grid[mask]))
-    if args.which != "asymptotic":
-        _require_finite(vals, "the spectral density", args.delta)
+    _require_finite(vals[mask], "the spectral density", args.delta)
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
     meta = {"model": _model_echo(model), "delta": args.delta, "which": args.which}
     _emit(args, meta, ["omega", "f"], rows)
@@ -202,27 +202,23 @@ def _parse_sweep(text: str) -> list:
     return deltas
 
 
-def _validate_one_delta(model: CarmaModel, delta: float) -> list:
-    """Exact-vs-asymptotic ratio checks for one grid size."""
-    rows = []
-    regime = sampling.coarseness(model, delta) <= 1.0
+def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
+    """Exact-vs-asymptotic ratio checks for one grid size, and the exact gamma_MA."""
+    omegas = {"pi/4": np.pi / 4, "pi/2": np.pi / 2, "pi": np.pi}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
-        for lag in range(model.p):
-            exact = sampling.acvf_filtered(model, delta, lag)
-            asym = asymptotics.gamma_ma_asymptotic(model, delta, lag)
-            ratio = exact / asym
-            ok = abs(ratio - 1.0) <= 0.05
-            status = "PASS" if ok else ("WARN" if not regime else "FAIL")
-            rows.append([f"acvf_ratio_lag{lag}", delta, repr(float(ratio)), "|ratio-1| <= 0.05", status])
-        for name, w in (("pi/4", np.pi / 4), ("pi/2", np.pi / 2), ("pi", np.pi)):
-            exact = sampling.spectral_density_filtered(model, delta, w)
-            asym = asymptotics.f_ma_asymptotic(model, delta, w)
-            ratio = exact / asym
-            ok = abs(ratio - 1.0) <= 0.05
-            status = "PASS" if ok else ("WARN" if not regime else "FAIL")
-            rows.append([f"spectrum_ratio_{name}", delta, repr(float(ratio)), "|ratio-1| <= 0.05", status])
-    return rows
+        gamma = sampling.acvf_filtered_sequence(model, delta).values
+        f_ma = sampling.spectral_density_filtered(model, delta, list(omegas.values()))
+    checks = [(f"acvf_ratio_lag{n}", g, asymptotics.gamma_ma_asymptotic(model, delta, n)) for n, g in enumerate(gamma)]
+    for (name, x), f in zip(omegas.items(), f_ma):
+        checks.append((f"spectrum_ratio_{name}", f, asymptotics.f_ma_asymptotic(model, delta, x)))
+    regime = sampling.coarseness(model, delta) <= 1.0
+    rows = []
+    for name, exact, asym in checks:
+        ratio = exact / asym
+        status = "PASS" if abs(ratio - 1.0) <= 0.05 else ("FAIL" if regime else "WARN")
+        rows.append([name, delta, repr(float(ratio)), "|ratio-1| <= 0.05", status])
+    return rows, gamma
 
 
 def cmd_validate(args) -> int:
@@ -232,31 +228,19 @@ def cmd_validate(args) -> int:
     _require(args.paths >= 1, "--paths must be >= 1")
     min_length = simulate.MIN_LENGTH_PER_ORDER * model.p
     _require(args.length >= min_length, f"--length must be >= {min_length} for a p = {model.p} model")
-    rows = []
-    for d in deltas:
-        rows.extend(_validate_one_delta(model, d))
+    sweep = [_validate_one_delta(model, d) for d in deltas]
+    rows = [row for checks, _ in sweep for row in checks]
 
-    # Monte Carlo vs analytic filtered autocovariances at the coarsest delta.
-    d0 = deltas[0]
-    seeds = simulate.spawn_seeds(args.seed, args.paths)
-    pooled = None
-    for s in seeds:
-        res = simulate.simulate_gaussian_exact(model, d0, args.length, int(s))
-        emp = simulate.empirical_filtered_acvf(res, model, lags=model.p - 1)
-        vals = np.array(emp.values)
-        errs = np.array(emp.stderr)
-        if pooled is None:
-            pooled = [vals, errs**2]
-        else:
-            pooled[0] += vals
-            pooled[1] += errs**2
-    mean_vals = pooled[0] / args.paths
-    mean_se = np.sqrt(pooled[1]) / args.paths
+    # Monte Carlo vs the sweep's exact filtered autocovariances at the coarsest delta.
+    d0, exact = deltas[0], sweep[0][1]
+    emp = []
+    for s in simulate.spawn_seeds(args.seed, args.paths):
+        res = simulate.simulate_gaussian_exact(model, d0, args.length, s)
+        emp.append(simulate.empirical_filtered_acvf(res, model, lags=model.p - 1))
+    mean_vals = np.sum([e.values for e in emp], axis=0) / args.paths
+    mean_se = np.sqrt(np.sum([np.square(e.stderr) for e in emp], axis=0)) / args.paths
     for lag in range(model.p):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
-            exact = sampling.acvf_filtered(model, d0, lag)
-        dev = abs(mean_vals[lag] - exact) / mean_se[lag]
+        dev = abs(mean_vals[lag] - exact[lag]) / mean_se[lag]
         status = "PASS" if dev <= 4.0 else "FAIL"
         rows.append([f"mc_acvf_lag{lag}", d0, repr(float(dev)), "<= 4 SE", status])
 

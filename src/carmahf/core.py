@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +119,10 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
 _PADE = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)] for m in _THETA}
 #: 1/|c_(2m+1)| = (2m)! (2m+1)! / (m!)^2, the leading backward-error coefficient.
 _ERR_RECIP = {m: math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2 for m in _THETA}
+
+
+#: Largest 1-norm of a Van Loan block exponentiated whole (theta_13 = 4.25).
+_BLOCK_NORM = 4.0
 
 
 def _norm1(X: np.ndarray) -> float:
@@ -253,7 +256,6 @@ def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
     return float(v[-1])
 
 
-@lru_cache(maxsize=256)
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T.
 
@@ -297,7 +299,17 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     return out
 
 
-@lru_cache(maxsize=512)
+def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:
+    """[[S h, h e_p e_p^T], [0, -S^T h]] with S = T^-1 A T, T = diag(h^(p-1), ..., h, 1)."""
+    p = model.p
+    k = np.arange(p)
+    M = np.zeros((2 * p, 2 * p))
+    M[:p, :p] = model.companion() * h ** (k[:, None] - k[None, :] + 1.0)
+    M[p:, p:] = -M[:p, :p].T
+    M[p - 1, 2 * p - 1] = h
+    return M
+
+
 def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
     """The sampled system (F, Q, b) on a Delta-grid, in Delta-scaled coordinates.
 
@@ -311,19 +323,31 @@ def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
     The scaling is not optional: expm picks its Pade degree from the matrix
     norm, so the delta^k-sized entries of an unscaled F and Q_Delta come out
     with only absolute accuracy, while here every entry of S delta is O(1)
-    and every entry of Q is O(delta).  The arrays are read-only (cached).
+    and every entry of Q is O(delta).
+
+    On a coarse grid the F^-T block grows like e^(|lambda| delta) and the
+    squarings inside expm lose Q to cancellation.  A block of 1-norm above
+    ``_BLOCK_NORM`` is built for h = delta / 2^s instead, scaled with its own
+    T and s the least that brings it within, and doubled s times by
+    Q <- Q + F Q F^T, F <- F F (only PSD terms add up), with the exact change
+    of scale diag(2^-(p-1-k)) from step h to 2h.  A block that is not finite,
+    or a Q diagonal that underflows, gives NaN.
     """
     p = model.p
     k = np.arange(p)
-    M = np.zeros((2 * p, 2 * p))
-    M[:p, :p] = model.companion() * delta ** (k[:, None] - k[None, :] + 1.0)
-    M[p:, p:] = -M[:p, :p].T
-    M[p - 1, 2 * p - 1] = delta
+    M, s = _van_loan_block(model, delta), 0
+    while _BLOCK_NORM < _norm1(M) < math.inf:
+        s += 1
+        M = _van_loan_block(model, delta * 2.0**-s)
     E = matrix_exp(M)
     F = E[:p, :p]
     Q = E[:p, p:] @ F.T
+    d = 2.0 ** (k + 1.0 - p)
+    for _ in range(s):
+        Q = d[:, None] * (Q + F @ Q @ F.T) * d
+        F = d[:, None] * (F @ F) / d
     Q = 0.5 * (Q + Q.T)
+    if not np.diag(Q).min() >= np.finfo(float).tiny:
+        Q = np.full((p, p), np.nan)
     b = delta ** (p - 1.0 - k) * model.b_vector()
-    for x in (F, Q, b):
-        x.setflags(write=False)
     return F, Q, b

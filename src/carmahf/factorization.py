@@ -161,8 +161,8 @@ def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:
 def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:
     """Full chain: filter coefficients, exact gamma_MA, spectral factorization."""
     core.validate(model, require_coprime=False)
-    phi = sampling.filter_coefficients(model, delta)
-    theta, tau2, boundary = _factorize(sampling.acvf_filtered_sequence(model, delta))
+    phi, gamma = sampling._filter_and_acvf(model, delta)
+    theta, tau2, boundary = _factorize(gamma)
     return SampledArma(delta=delta, phi=tuple(phi), theta=tuple(theta), tau2=tau2, boundary=boundary)
 
 

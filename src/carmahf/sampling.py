@@ -5,19 +5,19 @@ filtered spectral densities, and the exact filtered autocovariances at lags
 0..p-1 (extendable past p-1, where they vanish).
 
 Every quantity derives from the Delta-scaled sampled system (F, Q, b) of
-:func:`core.sampled_state_space`: phi is the characteristic polynomial of F,
-the MA(p-1) part of phi(B) Y comes from the Faddeev-LeVerrier matrices of F,
-and the spectra are resolvent quadratic forms in Q.  No route needs the
-autoregressive roots, so repeated and nearly repeated roots need no special
-case.  The roots (companion eigenvalues, :func:`core.ar_roots`) serve only
-the Delta-regime, :func:`coarseness`, and its coarse-grid warning.
+:func:`core.sampled_state_space`, built once per call: :func:`_filter_and_acvf`
+gives phi as the characteristic polynomial of F and the MA(p-1) part of
+phi(B) Y from the Faddeev-LeVerrier matrices of F, and :func:`_shifted` gives
+the resolvent stack behind psi and f_Delta, a quadratic form in Q.  No route
+needs the autoregressive roots, so repeated and nearly repeated roots need no
+special case.  The roots (companion eigenvalues, :func:`core.ar_roots`) serve
+only the Delta-regime, :func:`coarseness`, and its coarse-grid warning.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,20 +61,22 @@ def _check_grid(model: CarmaModel, delta: float) -> None:
             f"delta={delta} is coarse for this model (delta * max|Re lambda| = "
             f"{c:.3g} > 1); asymptotic comparisons are unreliable",
             CoarseSamplingWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public function, past its helper
         )
 
 
-@lru_cache(maxsize=512)
-def _filter_vectors(model: CarmaModel, delta: float) -> tuple:
-    """phi = charpoly(F) and the rows v_j = C_j^T b (j = 0..p-1), Delta-scaled.
+def _filter_and_acvf(model: CarmaModel, delta: float) -> tuple:
+    """phi = charpoly(F) and gamma_MA(0..p-1), from one sampled system (F, Q, b).
 
     Faddeev-LeVerrier: C_0 = I, phi_j = -tr(F C_(j-1)) / j and
     C_j = F C_(j-1) + phi_j I, so C_j = sum_(k<=j) phi_k F^(j-k) and
     C_p = phi(F) = 0 (Cayley-Hamilton).  Hence phi(B) Y_t = sum_j v_j^T eps_(t-j)
-    for the transition noise eps, the MA(p-1) part of the sampled ARMA.
+    with the Delta-scaled rows v_j = C_j^T b and the transition noise eps, the
+    MA(p-1) part of the sampled ARMA, and
+    gamma_MA(n) = sigma2 * sum_j v_(j+n)^T Q v_j, a finite sum.
     """
-    F, _, b = core.sampled_state_space(model, delta)
+    _check_grid(model, delta)
+    F, Q, b = core.sampled_state_space(model, delta)
     p = model.p
     phi = np.ones(p + 1)
     V = np.empty((p, p))
@@ -84,9 +86,7 @@ def _filter_vectors(model: CarmaModel, delta: float) -> tuple:
         FC = F @ C
         phi[j] = -np.trace(FC) / j
         C = FC + phi[j] * np.eye(p)
-    phi.setflags(write=False)
-    V.setflags(write=False)
-    return phi, V
+    return phi, [model.sigma2 * float(np.sum((V[n:] @ Q) * V[: p - n])) for n in range(p)]
 
 
 def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:
@@ -95,14 +95,26 @@ def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:
     A_0 = 1; the characteristic polynomial of F = e^(A Delta), by
     Faddeev-LeVerrier, so repeated roots need no special case.
     """
+    return _filter_and_acvf(model, delta)[0]
+
+
+def _shifted(model: CarmaModel, delta: float, omega) -> tuple:
+    """e^(-i omega) I - F^T stacked over the omega grid, with Q and b, from one sampled system."""
     _check_grid(model, delta)
-    return np.array(_filter_vectors(model, delta)[0])
+    F, Q, b = core.sampled_state_space(model, delta)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    return np.exp(-1j * w)[:, None, None] * np.eye(model.p) - F.T, Q, b
 
 
-def _shifted(model: CarmaModel, delta: float, w: np.ndarray) -> np.ndarray:
-    """The stack e^(-i omega) I - F^T over a 1-d omega grid (Delta-scaled F)."""
-    F = core.sampled_state_space(model, delta)[0]
-    return np.exp(-1j * w)[:, None, None] * np.eye(model.p) - F.T
+def _f_delta(model: CarmaModel, shifted: np.ndarray, Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f_Delta = sigma2 / (2 pi) * u^H Q u with u = shifted^-1 b, one batched solve over the grid."""
+    u = np.linalg.solve(shifted, b[:, None])[..., 0]
+    return model.sigma2 / (2.0 * np.pi) * np.real(np.einsum("ni,ij,nj->n", u.conj(), Q, u))
+
+
+def _like(omega, out: np.ndarray) -> np.ndarray | float:
+    """A float for a scalar omega, else the array over the grid."""
+    return float(out[0]) if np.ndim(omega) == 0 else out
 
 
 def power_transfer(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
@@ -111,33 +123,18 @@ def power_transfer(model: CarmaModel, delta: float, omega) -> np.ndarray | float
     Evaluated as |det(e^(-i omega) I - F^T)|^2, since phi is the
     characteristic polynomial of F.
     """
-    w = np.asarray(omega, dtype=float)
-    out = np.abs(np.linalg.det(_shifted(model, delta, np.atleast_1d(w)))) ** 2
-    if w.ndim == 0:
-        return float(out[0])
-    return out
+    return _like(omega, np.abs(np.linalg.det(_shifted(model, delta, omega)[0])) ** 2)
 
 
 def spectral_density_sampled(model: CarmaModel, delta: float, omega):
-    """Spectral density f_Delta of the sampled sequence on [-pi, pi].
-
-    f_Delta(omega) = sigma2 / (2 pi) * u^H Q u with
-    u = (e^(-i omega) I - F^T)^-1 b, one batched solve over the omega grid.
-    """
-    _check_grid(model, delta)
-    w = np.asarray(omega, dtype=float)
-    w1 = np.atleast_1d(w)
-    _, Q, b = core.sampled_state_space(model, delta)
-    u = np.linalg.solve(_shifted(model, delta, w1), b[:, None])[..., 0]
-    out = model.sigma2 / (2.0 * np.pi) * np.real(np.einsum("ni,ij,nj->n", u.conj(), Q, u))
-    if w.ndim == 0:
-        return float(out[0])
-    return out
+    """Spectral density f_Delta of the sampled sequence on [-pi, pi]."""
+    return _like(omega, _f_delta(model, *_shifted(model, delta, omega)))
 
 
 def spectral_density_filtered(model: CarmaModel, delta: float, omega):
     """Spectral density f_MA = psi * f_Delta of the filtered sequence."""
-    return power_transfer(model, delta, omega) * spectral_density_sampled(model, delta, omega)
+    shifted, Q, b = _shifted(model, delta, omega)
+    return _like(omega, np.abs(np.linalg.det(shifted)) ** 2 * _f_delta(model, shifted, Q, b))
 
 
 def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:
@@ -149,26 +146,17 @@ def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:
 
 
 def acvf_filtered(model: CarmaModel, delta: float, n: int) -> float:
-    """Exact autocovariance gamma_MA(n) of the filtered sampled sequence.
-
-    gamma_MA(n) = sigma2 * sum_j v_(j+n)^T Q v_j, a finite sum over the
-    moving-average vectors of the sampled ARMA.  Lags n >= p are supported
-    and are exactly 0, the (p-1)-correlation of the filtered sequence.
-    """
+    """Exact gamma_MA(n) of the filtered sampled sequence; lags n >= p are exactly 0 (MA(p-1))."""
     if n < 0:
         raise ValueError("lag must be non-negative")
-    _check_grid(model, delta)
-    p = model.p
-    if n >= p:
-        return 0.0
-    Q = core.sampled_state_space(model, delta)[1]
-    V = _filter_vectors(model, delta)[1]
-    return model.sigma2 * float(np.sum((V[n:] @ Q) * V[: p - n]))
+    gamma = _filter_and_acvf(model, delta)[1]
+    return gamma[n] if n < model.p else 0.0
 
 
 def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = None) -> CovSequence:
     """Exact CovSequence gamma_MA(0..n_max); n_max defaults to p-1."""
+    gamma = _filter_and_acvf(model, delta)[1]
     if n_max is None:
         n_max = model.p - 1
-    vals = tuple(acvf_filtered(model, delta, n) for n in range(n_max + 1))
+    vals = tuple(gamma[n] if n < model.p else 0.0 for n in range(n_max + 1))
     return CovSequence(delta=delta, values=vals, provenance="exact")

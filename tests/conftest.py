@@ -35,17 +35,6 @@ def corpus():
     ]
 
 
-@pytest.fixture(autouse=True)
-def _quiet_coarse_warnings():
-    import warnings
-
-    from carmahf.sampling import CoarseSamplingWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CoarseSamplingWarning)
-        yield
-
-
 def random_stable_model(rng, p_max=4):
     p = int(rng.integers(1, p_max + 1))
     roots = []

@@ -158,8 +158,10 @@ CARMA30 = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "carma3
         ["acvf", CARMA30, "--delta", "1e200", "--lags", "2"],
         ["spectrum", CARMA30, "--delta", "1e200", "--which", "sampled", "--grid-points", "5"],
         ["spectrum", CARMA30, "--delta", "1e200", "--which", "filtered", "--grid-points", "5"],
+        ["acvf", CARMA30, "--delta", "1e100", "--mode", "asymptotic"],
+        ["spectrum", CARMA30, "--delta", "1e200", "--which", "asymptotic", "--grid-points", "5"],
     ],
-    ids=["sampled-arma", "acvf", "spectrum-sampled", "spectrum-filtered"],
+    ids=["sampled-arma", "acvf", "spectrum-sampled", "spectrum-filtered", "acvf-asymptotic", "spectrum-asymptotic"],
 )
 def test_overflowing_delta_is_a_numeric_failure(args, capsys):
     assert run_cli(args) == cli.EXIT_NUMERIC
@@ -167,6 +169,13 @@ def test_overflowing_delta_is_a_numeric_failure(args, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("carmahf: ") and "not finite" in err
+
+
+def test_coarse_delta_is_exact(capsys):
+    # gamma_MA(0) -> gamma_Y(0) = 1/120 once the samples decorrelate
+    assert run_cli(["acvf", CARMA30, "--delta", "50", "--no-timestamp"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert float(rows[0][1]) == pytest.approx(1 / 120, abs=1e-9)
 
 
 class TestValidate:

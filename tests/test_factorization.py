@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, FactorizationError, core, sampling
+from carmahf import CarmaModel, FactorizationError, core
 from carmahf.factorization import innovations_check, reconstruct_acvf
 
 from conftest import corpus, random_stable_model
@@ -148,19 +148,6 @@ def _strictly_invertible(theta) -> bool:
     return True
 
 
-@pytest.fixture
-def clear_caches():
-    def clear():
-        for module in (core, sampling):
-            for fn in vars(module).values():
-                if hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
-
-    clear()
-    yield clear
-    clear()
-
-
 class TestSmallDelta:
     """theta's zeros crowd toward z = 1 as delta -> 0; each case stays invertible."""
 
@@ -186,7 +173,7 @@ class TestSmallDelta:
         ],
         ids=["p3q2-1e-3", "p4q2-1e-4", "p4q2-1e-5"],
     )
-    def test_one_ulp_perturbations(self, a, b, sigma2, delta, monkeypatch, clear_caches):
+    def test_one_ulp_perturbations(self, a, b, sigma2, delta, monkeypatch):
         # Every entry of every matrix exponential moves by one ulp, either way.
         rng = np.random.default_rng(3)
         exact = core.matrix_exp
@@ -198,7 +185,6 @@ class TestSmallDelta:
         monkeypatch.setattr(core, "matrix_exp", perturbed)
         m = CarmaModel(a, b, sigma2=sigma2)
         for _ in range(40):
-            clear_caches()
             arma = chf.sampled_arma(m, delta)
             cov = chf.acvf_filtered_sequence(m, delta)
             assert chf.reconstruction_residual(arma, cov) <= 1e-12

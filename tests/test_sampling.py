@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import carmahf as chf
-from carmahf import CarmaModel
+from carmahf import CarmaModel, core
 from carmahf.sampling import (
     CoarseSamplingWarning,
     CovSequence,
@@ -31,7 +31,7 @@ class TestGridChecks:
             chf.filter_coefficients(ou, 0.0)
 
     def test_coarse_warning(self, carma20):
-        # override the autouse suppressor
+        # pytest.warns records the warning that the pytest configuration ignores
         with pytest.warns(CoarseSamplingWarning):
             chf.filter_coefficients(carma20, 0.6)  # 0.6 * 2 > 1
 
@@ -115,6 +115,13 @@ class TestSampledDensity:
             )
             assert 2 * val == pytest.approx(chf.acvf_continuous(carma21, h * d), rel=1e-9)
 
+    @pytest.mark.parametrize("delta", [10.0, 20.0, 50.0])
+    def test_coarse_grid_vs_residue(self, carma30, delta):
+        # past delta * max|lambda| ~ 4 the sampled system comes by doubling
+        w = np.append(np.linspace(-np.pi + 0.01, np.pi - 0.01, 41), np.pi)
+        want = residue_sampled_density(carma30, delta, w)
+        assert np.allclose(chf.spectral_density_sampled(carma30, delta, w), want, rtol=1e-10, atol=0.0)
+
     def test_repeated_root_folded_route(self):
         m = CarmaModel([2.0, 1.0], [1.0])  # double root -1
         w = np.array([0.7, 2.0])
@@ -195,6 +202,42 @@ class TestAcvfFiltered:
         assert len(cov.values) == 3
         assert cov.values[0] == pytest.approx(chf.acvf_filtered(carma30, 0.1, 0))
 
+    def test_coarse_grid(self, carma30):
+        assert chf.acvf_filtered(carma30, 50.0, 0) == pytest.approx(1 / 120, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e3, 1e10, 1e30])
+    def test_decorrelated_limit(self, delta):
+        # e^(lambda delta) underflows: gamma_MA -> (gamma_Y(0), 0, ..., 0)
+        for m in corpus():
+            cov = chf.acvf_filtered_sequence(m, delta)
+            g0 = chf.acvf_continuous(m, 0.0)
+            assert cov.values[0] == pytest.approx(g0, rel=1e-12)
+            assert np.all(np.abs(cov.values[1:]) <= 1e-12 * g0)
+
+    def test_beyond_scaled_range_is_nan(self, carma30):
+        # Q's Delta-scaled (0, 0) entry, gamma_Y(0) / delta^4, underflows
+        assert np.isnan(chf.acvf_filtered(carma30, 1e100, 0))
+
     def test_negative_lag_rejected(self, ou):
         with pytest.raises(ValueError):
             chf.acvf_filtered(ou, 0.1, -1)
+
+
+class TestNoSharedState:
+    def test_results_do_not_leak_between_calls(self, carma20):
+        # every call builds its own arrays; scaling one in place changes no other
+        d = 0.1
+        g0, g_ma = chf.acvf_continuous(carma20, 0.0), chf.acvf_filtered(carma20, d, 0)
+        arrays = [
+            lambda: [core.stationary_state_covariance(carma20)],
+            lambda: list(core.sampled_state_space(carma20, d)),
+            lambda: [chf.filter_coefficients(carma20, d)],
+        ]
+        for get in arrays:
+            got = get()
+            want = [x.copy() for x in got]
+            for x in got:
+                x *= 2.0
+            assert all(np.array_equal(x, y) for x, y in zip(get(), want))
+        assert chf.acvf_continuous(carma20, 0.0) == g0
+        assert chf.acvf_filtered(carma20, d, 0) == g_ma
