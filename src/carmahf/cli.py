@@ -300,14 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # _require_finite turns every non-finite result into exit 3, so numpy's
+    # float warnings are noise; the others print one line each after a success.
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            code = args.func(args)
     except CliError as exc:
         print(f"carmahf: {exc}", file=sys.stderr)
         return exc.code
     except ModelError as exc:
         print(f"carmahf: invalid model ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if code == 0:
+        for w in caught:
+            print(f"carmahf: warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

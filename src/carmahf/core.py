@@ -9,7 +9,7 @@ autoregressive roots, so every root multiplicity takes the same route.  The
 roots themselves (:func:`ar_roots`, the companion eigenvalues) serve only the
 stability check and coarse scale estimates.  The exponential (Al-Mohy &
 Higham scaling and squaring) and the Lyapunov solve (one Kronecker system)
-need numpy alone, so no command that does not simulate loads scipy.
+are numpy alone, like the rest of the package.
 """
 
 from __future__ import annotations

@@ -3,11 +3,9 @@
 Exact Gaussian transitions for the Brownian driver, fine-grid Euler for
 Brownian or compound-Poisson drivers, and the empirical second-order
 estimators used as Monte Carlo oracles.  Both simulators run the state
-recursion through one propagator, the complex Schur form of the transition
-matrix solved channel by channel with LAPACK, which takes every root
-multiplicity the same way.  The propagator is the package's only use of
-scipy: it imports ``scipy.linalg`` when it first runs, so importing this
-module, or any other, loads no scipy.
+recursion through one propagator, a doubling scan of real numpy matmuls,
+which takes every root multiplicity the same way and needs no library
+beyond numpy.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -95,26 +93,20 @@ def _safe_cholesky(S: np.ndarray) -> np.ndarray:
 def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, e: np.ndarray, x0: np.ndarray) -> tuple:
     """y[k] = b_out . x[k] for x[k] = F x[k-1] + G e[k-1] (k = 1..m), x[0] = x0.
 
-    Returns (y[0..m], x[m]).  With the complex Schur form F = Z T Z^H the
-    rotated state z = Z^H x obeys z[k] = T z[k-1] + Z^H G e[k-1]; its channels
-    are solved last to first, each as one lower-bidiagonal forward
-    substitution (LAPACK ztbtrs) whose right-hand side carries the coupling
-    sum_{j>i} T_ij z_j[k-1] from the channels already solved.  Z is unitary,
-    so every root multiplicity takes this route with no conditioning gate.
+    Returns (y[0..m], x[m]).  The recursion is a linear prefix sum
+    x[i] = sum_(j<=i) F^(i-j) v[j] with v[0] = x0 and v[j] = G e[j-1], taken
+    by a Hillis-Steele doubling scan: step k adds F^k times the partial sum
+    k places back, so ceil(log2(m+1)) real matmuls cover every root
+    multiplicity the same way.
     """
-    import scipy.linalg
-
-    T, Z = scipy.linalg.schur(F, output="complex")
-    z = np.empty((len(x0), len(e) + 1), dtype=complex)
-    z[:, 0] = Z.conj().T @ x0
-    np.matmul(Z.conj().T @ G, e.T, out=z[:, 1:])
-    ab = np.empty((2, z.shape[1]), dtype=complex)  # row 0, the unit diagonal, is not read
-    for i in range(len(x0) - 1, -1, -1):
-        z[i, 1:] += T[i, i + 1 :] @ z[i + 1 :, :-1]
-        ab[1] = -T[i, i]
-        z[i] = scipy.linalg.lapack.ztbtrs(ab, z[i, :, None], uplo="L", diag="U", overwrite_b=True)[0][:, 0]
-    y = np.real((b_out @ Z) @ z)
-    return y, np.real(Z @ z[:, -1])
+    x = np.empty((len(e) + 1, len(x0)))
+    x[0] = x0
+    np.matmul(e, G.T, out=x[1:])
+    P, k = F, 1
+    while k < len(x):  # after this step x[i] = sum_(j > i-2k) F^(i-j) v[j]
+        x[k:] += x[:-k] @ P.T  # the right side is a fresh array, so nothing aliases
+        P, k = P @ P, 2 * k
+    return x @ b_out, x[-1]
 
 
 def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) -> SimulationResult:

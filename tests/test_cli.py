@@ -171,6 +171,27 @@ def test_overflowing_delta_is_a_numeric_failure(args, capsys):
     assert err.startswith("carmahf: ") and "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "delta, code, prefix",
+    [
+        ("1e200", cli.EXIT_NUMERIC, "carmahf: the autocovariance is not finite"),
+        ("5", 0, "carmahf: warning: delta=5.0 is coarse"),
+    ],
+    ids=["overflow", "coarse"],
+)
+def test_stderr_is_one_line(delta, code, prefix):
+    # A child process, because in process pytest captures the warnings that used to reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "carmahf.cli", "acvf", CARMA30, "--delta", delta, "--lags", "2", "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(prefix)
+
+
 def test_coarse_delta_is_exact(capsys):
     # gamma_MA(0) -> gamma_Y(0) = 1/120 once the samples decorrelate
     assert run_cli(["acvf", CARMA30, "--delta", "50", "--no-timestamp"]) == 0
@@ -257,15 +278,15 @@ class TestEntryPoint:
         assert "lag,gamma,mode" in proc.stdout
 
     def test_import_skips_unused_scipy_subpackages(self, model_file):
-        # A fresh import loads no scipy module: only the simulators use scipy,
-        # and they import it when they run, as validate does here.
+        # No scipy module is loaded, neither by the import nor by validate,
+        # which also runs the simulator.
         code = (
             "import sys, carmahf, carmahf.cli\n"
             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             f"code = carmahf.cli.main(['validate', {model_file!r}, '--delta-sweep', '0.004:0.001:0.5', "
             "'--length', '120000', '--seed', '42', '--no-timestamp', '--output', sys.argv[1]])\n"
-            "print(code, 'scipy.linalg' in loaded())\n"
+            "print(code, loaded())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, os.devnull],
@@ -274,7 +295,7 @@ class TestEntryPoint:
             env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 True"]
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,6 +84,21 @@ def _longdouble_loop(b_out, F, G, e, x0):
     return y, x
 
 
+def _assert_matches_loop(b_out, F, G, e, x0):
+    y, x = simulate._propagate(b_out, F, G, e, x0)
+    y_ref, x_ref = _longdouble_loop(b_out, F, G, e, x0)
+    assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
+    assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+
+
+def _exact_transition(m, delta, n, rng):
+    """(F, G, e, x0) as simulate_gaussian_exact passes them, per unit sigma2."""
+    F = chf.matrix_exp(m.companion() * delta)
+    G = np.linalg.cholesky(transition_noise_covariance(m, delta))
+    x0 = np.linalg.cholesky(chf.stationary_state_covariance(m)) @ rng.standard_normal(m.p)
+    return F, G, rng.standard_normal((n, m.p)), x0
+
+
 class TestPropagate:
     @pytest.mark.parametrize(
         "a, delta",
@@ -93,19 +108,27 @@ class TestPropagate:
             ([4.0, 6.0, 4.0, 1.0], 1e-5),
             ([5.0, 10.0, 10.0, 5.0, 1.0], 1e-2),
             ([5.0, 10.0, 10.0, 5.0, 1.0], 1e-5),
+            ([0.2, 4.01], 1e-2),  # oscillatory pair, roots -0.1 +- 2i
         ],
     )
     def test_matches_longdouble_loop(self, a, delta):
         m = CarmaModel(a, [1.0])
-        rng = np.random.default_rng(4)
-        F = chf.matrix_exp(m.companion() * delta)
-        G = np.linalg.cholesky(transition_noise_covariance(m, delta))
-        x0 = np.linalg.cholesky(chf.stationary_state_covariance(m)) @ rng.standard_normal(m.p)
-        e = rng.standard_normal((20_000, m.p))
-        y, x = simulate._propagate(m.b_vector(), F, G, e, x0)
-        y_ref, x_ref = _longdouble_loop(m.b_vector(), F, G, e, x0)
-        assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
-        assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+        _assert_matches_loop(m.b_vector(), *_exact_transition(m, delta, 20_000, np.random.default_rng(4)))
+
+    @pytest.mark.parametrize("a", [[4.0, 6.0, 4.0, 1.0], [0.2, 4.01]])
+    def test_euler_transition_matches_longdouble_loop(self, a):
+        # F = I + A dt driven through the last state channel alone, as simulate_euler passes it
+        m = CarmaModel(a, [0.5, 1.0])
+        dt = 1e-3
+        e = np.sqrt(dt) * np.random.default_rng(5).standard_normal((20_000, 1))
+        _assert_matches_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, np.eye(m.p)[:, -1:], e, np.ones(m.p))
+
+    @pytest.mark.parametrize("n", [2**14 - 1, 2**14])
+    def test_scan_lengths(self, n):
+        # n + 1 states: 2^14 ends the scan on a half-length step, 2^14 + 1 on a one-row step;
+        # at this delta F^(2^14) is still about 0.2, so a skipped last step shows
+        m = CarmaModel([3.0, 2.0], [1.0])
+        _assert_matches_loop(m.b_vector(), *_exact_transition(m, 1e-4, n, np.random.default_rng(6)))
 
     def test_single_sample(self, carma30):
         x0 = np.array([0.5, -1.0, 2.0])
