@@ -138,19 +138,9 @@ def differenced_spectrum_asymptotic(model: CarmaModel, delta: float, omega) -> n
     """Leading-order spectral density of the (p-q)-times differenced samples.
 
     For a CAR(1) this is the constant sigma^2 Delta / (2 pi): the increments
-    approximate those of Brownian motion.
+    approximate those of Brownian motion.  It is the filtered form
+    :func:`f_ma_asymptotic` divided by the (1 - B)^q factor's power transfer
+    (2 - 2 cos omega)^q.
     """
-    w = _check_omega(omega)
-    d = model.p - model.q
-    c = np.array([c_coefficients(float(x), d - 1)[d - 1] for x in np.atleast_1d(w)])
-    out = (
-        model.sigma2
-        / (2.0 * np.pi)
-        * delta
-        * (-2.0 * delta**2) ** (d - 1)
-        * c
-        * (1.0 - np.cos(np.atleast_1d(w))) ** d
-    )
-    if w.ndim == 0:
-        return float(out[0])
-    return out
+    out = f_ma_asymptotic(model, delta, omega) / (2.0 - 2.0 * np.cos(omega)) ** model.q
+    return out if np.ndim(omega) else float(out)

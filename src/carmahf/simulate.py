@@ -2,10 +2,12 @@
 
 Exact Gaussian transitions for the Brownian driver, fine-grid Euler for
 Brownian or compound-Poisson drivers, and the empirical second-order
-estimators used as Monte Carlo oracles.  Both simulators run the state
-recursion through one propagator, a doubling scan of real numpy matmuls,
-which takes every root multiplicity the same way and needs no library
-beyond numpy.
+estimators used as Monte Carlo oracles.  The exact transitions are the
+Delta-scaled sampled system (F, Q, b) of :func:`core.sampled_state_space`,
+the one every Delta-grid quantity reads.  Both simulators run the state
+recursion through one propagator, a doubling scan of real numpy matmuls
+within fixed blocks, which takes every root multiplicity the same way and
+needs no library beyond numpy.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -22,7 +24,8 @@ from . import core, sampling
 from .core import CarmaModel
 from .sampling import CovSequence
 
-_CHUNK = 1_000_000
+#: Steps per block of the propagator's doubling scan; the state is carried between blocks.
+_BLOCK = 2**16
 #: Jitter added to near-singular transition noise covariances, relative to trace.
 _CHOL_JITTER = 1e-14
 #: empirical_filtered_acvf needs at least this many points per AR order.
@@ -66,18 +69,9 @@ def spawn_seeds(seed: int, k: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
-def transition_noise_covariance(model: CarmaModel, delta: float) -> np.ndarray:
-    """Q_Delta = int_0^Delta e^(Au) e_p e_p^T e^(A^T u) du (per unit sigma2).
-
-    The Delta-scaled Q of :func:`core.sampled_state_space` (one Van Loan
-    block exponential) mapped back to T Q T^T, exact to matrix-exponential
-    accuracy.
-    """
-    t = delta ** np.arange(model.p - 1.0, -1.0, -1.0)
-    return np.outer(t, t) * core.sampled_state_space(model, delta)[1]
-
-
-def _check_length(n: int) -> None:
+def _check_path(delta: float, n: int) -> None:
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if n < 0:
         raise ValueError(f"path length n must be >= 0, got {n}")
 
@@ -93,31 +87,41 @@ def _safe_cholesky(S: np.ndarray) -> np.ndarray:
 def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, e: np.ndarray, x0: np.ndarray) -> tuple:
     """y[k] = b_out . x[k] for x[k] = F x[k-1] + G e[k-1] (k = 1..m), x[0] = x0.
 
-    Returns (y[0..m], x[m]).  The recursion is a linear prefix sum
-    x[i] = sum_(j<=i) F^(i-j) v[j] with v[0] = x0 and v[j] = G e[j-1], taken
-    by a Hillis-Steele doubling scan: step k adds F^k times the partial sum
-    k places back, so ceil(log2(m+1)) real matmuls cover every root
-    multiplicity the same way.
+    Returns (y[0..m], x[m]).  Within a block of ``_BLOCK`` steps the
+    recursion is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with
+    v[j] = G e[j-1] and the state carried in from the previous block folded
+    into the first v.  A Hillis-Steele doubling scan takes it: step k adds
+    F^k times the partial sum k places back, so ceil(log2(_BLOCK)) real
+    matmuls per block cover every root multiplicity the same way, and the
+    number of passes over a block does not grow with the path length.
     """
-    x = np.empty((len(e) + 1, len(x0)))
-    x[0] = x0
-    np.matmul(e, G.T, out=x[1:])
-    P, k = F, 1
-    while k < len(x):  # after this step x[i] = sum_(j > i-2k) F^(i-j) v[j]
-        x[k:] += x[:-k] @ P.T  # the right side is a fresh array, so nothing aliases
-        P, k = P @ P, 2 * k
-    return x @ b_out, x[-1]
+    y = np.empty(len(e) + 1)
+    y[0] = b_out @ x0
+    x = x0
+    for s in range(0, len(e), _BLOCK):
+        v = e[s : s + _BLOCK] @ G.T
+        v[0] += F @ x
+        P, k = F, 1
+        while k < len(v):  # after this step v[i] = sum_(j > i-2k) F^(i-j) v[j]
+            v[k:] += v[:-k] @ P.T  # the right side is a fresh array, so nothing aliases
+            P, k = P @ P, 2 * k
+        y[s + 1 : s + 1 + len(v)] = v @ b_out
+        x = v[-1]
+    return y, x
 
 
 def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) -> SimulationResult:
     """Exact discretization of the state equation under a Brownian driver.
 
-    The initial state is drawn from the stationary law; transitions use
-    e^(A Delta) and Gaussian noise with covariance sigma2 * Q_Delta.  With
+    Propagates the Delta-scaled state T^-1 x through the sampled system
+    (F, Q, b) of :func:`core.sampled_state_space`, T = diag(delta^(p-1), ...,
+    delta, 1): transitions F with Gaussian noise of covariance sigma2 * Q, and
+    a stationary initial state drawn with T^-1 chol(sigma2 Sigma), the
+    Cholesky factor of its covariance T^-1 sigma2 Sigma T^-T.  With
     sigma2 = 0 the path is identically zero (degenerate run mode), and n = 0
     gives an empty path.
     """
-    _check_length(n)
+    _check_path(delta, n)
     if model.sigma2 == 0.0:
         return SimulationResult(delta=delta, y=np.zeros(n), seed=seed, scheme="exact_gaussian")
     core.validate(model, require_coprime=False)
@@ -125,13 +129,13 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
         return SimulationResult(delta=delta, y=np.zeros(0), seed=seed, scheme="exact_gaussian")
     rng = np.random.default_rng(seed)
     p = model.p
-    F = core.matrix_exp(model.companion() * delta)
-    Q = model.sigma2 * transition_noise_covariance(model, delta)
-    Lq = _safe_cholesky(Q)
-    Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model))
+    F, Q, b = core.sampled_state_space(model, delta)
+    t = delta ** np.arange(p - 1.0, -1.0, -1.0)
+    Lq = _safe_cholesky(model.sigma2 * Q)
+    Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
     e = rng.standard_normal((n - 1, p))
-    y = _propagate(model.b_vector(), F, Lq, e, x0)[0]
+    y = _propagate(b, F, Lq, e, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
@@ -163,29 +167,17 @@ def simulate_euler(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    _check_length(n)
+    _check_path(delta, n)
     core.validate(model, require_coprime=False)
     rng = np.random.default_rng(seed)
     p = model.p
     dt = delta / substeps
-    A = model.companion()
-    F = np.eye(p) + A * dt
-    b_out = model.b_vector()
-    e_p = np.eye(p)[:, -1:]
+    F = np.eye(p) + model.companion() * dt
     min_re = np.abs(core.ar_roots(model).real).min()
     burn = int(np.ceil(20.0 / (delta * min_re)))
-    total = (burn + n) * substeps
-    x = np.zeros(p)
-    chunks = []
-    done = 0
-    while done < total:
-        k = min(_CHUNK, total - done)
-        dl = _driver_increments(rng, driver, model.sigma2, dt, k)
-        yk, x = _propagate(b_out, F, e_p, dl[:, None], x)
-        chunks.append(yk[1:])
-        done += k
-    y_sub = np.concatenate(chunks)
-    y = y_sub[substeps - 1 :: substeps][burn : burn + n]
+    dl = _driver_increments(rng, driver, model.sigma2, dt, (burn + n) * substeps)
+    y_sub = _propagate(model.b_vector(), F, np.eye(p)[:, -1:], dl[:, None], np.zeros(p))[0]
+    y = y_sub[substeps::substeps][burn : burn + n]
     return SimulationResult(delta=delta, y=y.copy(), seed=seed, scheme="euler", substeps=substeps)
 
 

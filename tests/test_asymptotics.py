@@ -175,3 +175,8 @@ class TestDifferencedSpectrum:
         f2 = chf.differenced_spectrum_asymptotic(carma20, d, w)
         ratio = (2.0 * (1.0 - math.cos(w))) ** carma20.q
         assert f1 / f2 == pytest.approx(ratio, rel=1e-10)
+
+    def test_overflowing_delta_gives_inf(self, carma20):
+        # delta^(2d-1) overflows to inf, as in f_ma_asymptotic, instead of raising OverflowError
+        with np.errstate(over="ignore"):
+            assert chf.differenced_spectrum_asymptotic(carma20, 1e200, 1.3) == np.inf

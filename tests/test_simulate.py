@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, DriverSpec, simulate
-from carmahf.simulate import spawn_seeds, transition_noise_covariance
+from carmahf import CarmaModel, DriverSpec, core, simulate
+from carmahf.simulate import spawn_seeds
 
 from conftest import corpus
 
@@ -40,10 +40,22 @@ class TestSeeds:
         assert not np.array_equal(r1.y, r3.y)
 
 
+def _scale(m, delta):
+    """t = (delta^(p-1), ..., delta, 1), the diagonal of core.sampled_state_space's T."""
+    return delta ** np.arange(m.p - 1.0, -1.0, -1.0)
+
+
+def _unscaled_transition(m, delta):
+    """(F, Q_Delta) of core.sampled_state_space mapped back to T F T^-1 and T Q T^T."""
+    F, Q, _ = core.sampled_state_space(m, delta)
+    t = _scale(m, delta)
+    return t[:, None] * F / t, np.outer(t, t) * Q
+
+
 class TestTransitionNoiseCovariance:
     def test_ou_closed_form(self, ou):
         d = 0.3
-        Q = transition_noise_covariance(ou, d)
+        Q = _unscaled_transition(ou, d)[1]
         assert Q[0, 0] == pytest.approx(0.5 * (1 - np.exp(-2 * d)), rel=1e-12)
 
     def test_quadrature_oracle(self, carma30):
@@ -51,7 +63,7 @@ class TestTransitionNoiseCovariance:
 
         d = 0.2
         A = carma30.companion()
-        Q = transition_noise_covariance(carma30, d)
+        Q = _unscaled_transition(carma30, d)[1]
         for i in range(3):
             for j in range(3):
                 val, _ = quad(
@@ -66,9 +78,8 @@ class TestTransitionNoiseCovariance:
     def test_consistency_with_stationary_covariance(self, carma20):
         # Sigma = F Sigma F^T + Q_Delta must hold for the sampled chain
         d = 0.4
-        F = chf.matrix_exp(carma20.companion() * d)
+        F, Q = _unscaled_transition(carma20, d)
         S = chf.stationary_state_covariance(carma20)
-        Q = transition_noise_covariance(carma20, d)
         assert np.allclose(S, F @ S @ F.T + Q, atol=1e-12)
 
 
@@ -92,11 +103,11 @@ def _assert_matches_loop(b_out, F, G, e, x0):
 
 
 def _exact_transition(m, delta, n, rng):
-    """(F, G, e, x0) as simulate_gaussian_exact passes them, per unit sigma2."""
-    F = chf.matrix_exp(m.companion() * delta)
-    G = np.linalg.cholesky(transition_noise_covariance(m, delta))
-    x0 = np.linalg.cholesky(chf.stationary_state_covariance(m)) @ rng.standard_normal(m.p)
-    return F, G, rng.standard_normal((n, m.p)), x0
+    """(b, F, G, e, x0), Delta-scaled, as simulate_gaussian_exact passes them, per unit sigma2."""
+    F, Q, b = core.sampled_state_space(m, delta)
+    Ls = np.linalg.cholesky(chf.stationary_state_covariance(m)) / _scale(m, delta)[:, None]
+    x0 = Ls @ rng.standard_normal(m.p)
+    return b, F, np.linalg.cholesky(Q), rng.standard_normal((n, m.p)), x0
 
 
 class TestPropagate:
@@ -113,7 +124,7 @@ class TestPropagate:
     )
     def test_matches_longdouble_loop(self, a, delta):
         m = CarmaModel(a, [1.0])
-        _assert_matches_loop(m.b_vector(), *_exact_transition(m, delta, 20_000, np.random.default_rng(4)))
+        _assert_matches_loop(*_exact_transition(m, delta, 20_000, np.random.default_rng(4)))
 
     @pytest.mark.parametrize("a", [[4.0, 6.0, 4.0, 1.0], [0.2, 4.01]])
     def test_euler_transition_matches_longdouble_loop(self, a):
@@ -128,7 +139,13 @@ class TestPropagate:
         # n + 1 states: 2^14 ends the scan on a half-length step, 2^14 + 1 on a one-row step;
         # at this delta F^(2^14) is still about 0.2, so a skipped last step shows
         m = CarmaModel([3.0, 2.0], [1.0])
-        _assert_matches_loop(m.b_vector(), *_exact_transition(m, 1e-4, n, np.random.default_rng(6)))
+        _assert_matches_loop(*_exact_transition(m, 1e-4, n, np.random.default_rng(6)))
+
+    def test_state_carried_across_blocks(self, monkeypatch):
+        # 16 full blocks and a partial one of 387 steps, each starting from the state the last left
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)
+        m = CarmaModel([5.0, 10.0, 10.0, 5.0, 1.0], [1.0])
+        _assert_matches_loop(*_exact_transition(m, 1e-2, 2**14 + 3, np.random.default_rng(7)))
 
     def test_single_sample(self, carma30):
         x0 = np.array([0.5, -1.0, 2.0])
@@ -199,7 +216,7 @@ class TestSimulateEuler:
     def test_state_carried_across_chunks(self, monkeypatch, a):
         m = CarmaModel(a, [0.5, 1.0])
         one = chf.simulate_euler(m, 0.1, 2_000, substeps=4, driver=DriverSpec(), seed=9)
-        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)
         many = chf.simulate_euler(m, 0.1, 2_000, substeps=4, driver=DriverSpec(), seed=9)
         assert np.max(np.abs(many.y - one.y)) <= 1e-12 * np.max(np.abs(one.y))
 
@@ -212,6 +229,20 @@ class TestSimulateEuler:
         assert r.y.shape == (0,)
         with pytest.raises(ValueError, match="path length n must be >= 0"):
             chf.simulate_euler(ou, 0.1, -1, substeps=2, driver=DriverSpec(), seed=1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, d: chf.simulate_gaussian_exact(m, d, 10, seed=1),
+        lambda m, d: chf.simulate_euler(m, d, 10, substeps=2, driver=DriverSpec(), seed=1),
+    ],
+    ids=["exact", "euler"],
+)
+def test_simulators_reject_bad_delta(carma20, run, delta):
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        run(carma20, delta)
 
 
 class TestEmpiricalFilteredAcvf:
