@@ -39,41 +39,41 @@ def _check_omega(omega) -> np.ndarray:
     return w
 
 
-def c_coefficients(omega: float, K: int) -> np.ndarray:
+def c_coefficients(omega, K: int) -> np.ndarray:
     """Coefficients c_0..c_K of sinh(x)/(cosh(x) - cos omega) = sum c_k x^(2k+1).
 
-    Obtained by dividing the two Taylor series in powers of x^2.
+    Obtained by dividing the two Taylor series in powers of x^2, elementwise
+    over an omega array: the result has shape omega.shape + (K + 1,).
     In particular c_0 = 1/(1 - cos omega).
     """
-    _check_omega(omega)
+    w = _check_omega(omega)
     if K < 0:
         raise ValueError("K must be non-negative")
-    num = np.array([1.0 / math.factorial(2 * k + 1) for k in range(K + 1)])
-    den = np.array([1.0 / math.factorial(2 * k) for k in range(K + 1)])
-    den[0] = 1.0 - math.cos(omega)
-    c = np.empty(K + 1)
+    inv = [1.0 / math.factorial(j) for j in range(2 * K + 2)]
+    den0 = 1.0 - np.cos(w)
+    c = np.empty(w.shape + (K + 1,))
     for k in range(K + 1):
-        c[k] = (num[k] - np.dot(den[1 : k + 1], c[k - 1 :: -1][:k])) / den[0]
+        acc = 0.0  # sum_(i=1..k) c_(k-i) / (2i)!
+        for i in range(1, k + 1):
+            acc = acc + inv[2 * i] * c[..., k - i]
+        c[..., k] = (inv[2 * k + 1] - acc) / den0
     return c
 
 
 def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
     """Leading-order filtered spectral density as Delta -> 0 (fixed omega != 0)."""
-    w = _check_omega(omega)
+    w = np.asarray(omega, dtype=float)
     d = model.p - model.q
-    c = np.array([c_coefficients(float(x), d - 1)[d - 1] for x in np.atleast_1d(w)])
     out = (
         model.sigma2
         / (2.0 * np.pi)
         * (-1.0) ** (d - 1)
         * np.float64(delta) ** (2 * d - 1)  # inf, not OverflowError, at huge delta
-        * c
+        * c_coefficients(w, d - 1)[..., d - 1]
         * 2.0 ** (model.p - 1)
-        * (1.0 - np.cos(np.atleast_1d(w))) ** model.p
+        * (1.0 - np.cos(w)) ** model.p
     )
-    if w.ndim == 0:
-        return float(out[0])
-    return out
+    return float(out) if w.ndim == 0 else out
 
 
 def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:

@@ -10,6 +10,7 @@ innovations recursion is kept as an independent verification oracle.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -85,19 +86,13 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     while m > 0 and gamma[m] == 0.0:
         m -= 1
     gamma = gamma[: m + 1]
-    toeplitz = np.array([[gamma[abs(i - j)] for j in range(m + 1)] for i in range(m + 1)])
-    if np.linalg.eigvalsh(toeplitz).min() < -1e-10 * gamma[0]:
+    k = np.arange(m + 1)
+    if np.linalg.eigvalsh(gamma[abs(k[:, None] - k)]).min() < -1e-10 * gamma[0]:
         raise FactorizationError("not_psd", "covariance Toeplitz matrix is not PSD")
     if m == 0:
         return np.zeros(0), float(gamma[0]), False
 
-    # S(w) in ascending powers, from D_0 = 2, D_1 = w, D_{n+1} = w D_n - D_{n-1}.
-    s = np.zeros(m + 1)
-    s[0] = gamma[0]
-    d_prev, d = np.array([2.0]), np.array([0.0, 1.0])
-    for g in gamma[1:]:
-        s[: len(d)] += g * d
-        d_prev, d = d, np.concatenate([[0.0], d]) - np.pad(d_prev, (0, 2))
+    s = _w_polynomial(gamma.tolist())
     theta, boundary = _theta(s)
     if theta is None:
         # Rounding put a root of S on (-2, 2): the computed spectrum dips below
@@ -113,18 +108,39 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     return theta, float(tau2), boundary
 
 
-def _theta(s: np.ndarray) -> tuple[np.ndarray | None, bool]:
+def _w_polynomial(gamma: list) -> list:
+    """S(w) = gamma_0 + sum_n gamma_n D_n(w) in ascending powers of w.
+
+    D_0 = 2, D_1 = w, D_(n+1) = w D_n - D_(n-1) on exact integer coefficients;
+    each S_k adds gamma_n D_n[k] in order of n.
+    """
+    s = [gamma[0]] + [0.0] * (len(gamma) - 1)
+    d_prev, d = [2], [0, 1]
+    for g in gamma[1:]:
+        for i, di in enumerate(d):
+            s[i] += g * di
+        d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
+    return s
+
+
+def _theta(s: list) -> tuple[np.ndarray | None, bool]:
     """theta from the roots of S(w), or None when it is not real; and the boundary flag."""
-    w = poly.find_roots(poly.Polynomial(s))
-    root = np.sqrt((w - 2.0) * (w + 2.0))
-    r = np.where(np.abs(w + root) >= np.abs(w - root), w + root, w - root) / 2.0
-    # theta(z) = prod(1 - z / r_j), normalized so theta_0 = 1.
-    c = np.array([1.0 + 0.0j])
-    for rj in r:
-        c = np.concatenate([c, [0.0]]) - np.concatenate([[0.0], c / rj])
-    if np.max(np.abs(c.imag)) > 1e-8 * np.max(np.abs(c)):
+    r = []
+    for w in poly.find_roots(poly.Polynomial(s)).tolist():
+        root = cmath.sqrt((w - 2.0) * (w + 2.0))
+        r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
+    c = _unit_product(r)
+    if max(abs(x.imag) for x in c) > 1e-8 * max(abs(x) for x in c):
         return None, False
-    return c.real[1:], bool(np.any(np.abs(np.abs(r) - 1.0) <= BOUNDARY_TOL))
+    return np.array([x.real for x in c[1:]]), any(abs(abs(x) - 1.0) <= BOUNDARY_TOL for x in r)
+
+
+def _unit_product(r: list) -> list:
+    """Ascending coefficients of prod_j (1 - z / r_j) on complex scalars."""
+    c = [1.0 + 0.0j]
+    for rj in r:
+        c = [c[0]] + [c[k] - c[k - 1] / rj for k in range(1, len(c))] + [-c[-1] / rj]
+    return c
 
 
 def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:

@@ -1,9 +1,10 @@
 """Real-coefficient polynomial arithmetic, root tests and the root finder.
 
-:func:`find_roots` is ``np.roots``, companion-matrix eigenvalues, behind a
-:class:`Polynomial`.  :func:`coprime` reads both polynomials' roots from it,
-and the spectral factorization the roots of its covariance polynomial in
-w = z + 1/z.  :func:`is_stable` reads an array of the model's roots.
+:func:`find_roots` takes the eigenvalues of a :class:`Polynomial`'s companion
+matrix in one ``np.linalg.eigvals`` call: the roots of ``np.roots``, bit for
+bit.  :func:`coprime` reads both polynomials' roots from it, and the spectral
+factorization the roots of its covariance polynomial in w = z + 1/z.
+:func:`is_stable` reads an array of the model's roots.
 """
 
 from __future__ import annotations
@@ -58,15 +59,27 @@ class Polynomial:
 
 
 def find_roots(poly: Polynomial) -> np.ndarray:
-    """All complex roots of ``poly``, repeated by multiplicity (``np.roots``).
+    """All complex roots of ``poly``, repeated by multiplicity.
 
-    The roots are companion-matrix eigenvalues, so complex roots of a
+    The roots are the eigenvalues of the companion matrix of ``poly`` with
+    its zero low-order coefficients stripped, followed by one exact zero root
+    per stripped coefficient: bit for bit ``np.roots``.  Complex roots of a
     real polynomial come in exactly conjugate pairs.  An m-fold root comes
     back as m roots about eps^(1/m) apart.
     """
     if poly.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    return np.roots(poly.coeffs[::-1]).astype(complex)
+    zeros = 0
+    while poly.coeffs[zeros] == 0.0:
+        zeros += 1
+    c = poly.coeffs[zeros:]
+    roots = np.empty(0)
+    if len(c) > 1:
+        companion = np.eye(len(c) - 1, k=-1)
+        companion[0] = c[-2::-1]
+        companion[0] /= -c[-1]
+        roots = np.linalg.eigvals(companion)
+    return np.concatenate([roots, np.zeros(zeros)], dtype=complex)
 
 
 def is_stable(roots) -> bool:
@@ -82,7 +95,7 @@ def coprime(a: Polynomial, b: Polynomial) -> bool:
 
     A root z of one polynomial counts as a zero of the other, p, when it is
     one to rounding: |p(z)| <= ``BACKWARD_TOL`` * sum_k |p_k| |z|^k.  Both
-    ways are checked, each at the ``np.roots`` of one polynomial.  An m-fold
+    ways are checked, each at the :func:`find_roots` of one polynomial.  An m-fold
     root splits into roots about eps^(1/m) apart, so only the polynomial
     evaluated at the roots of the one holding a shared zero less often reads
     it at rounding level; and p near an m-fold zero grows only like d^m with

@@ -73,20 +73,24 @@ def _filter_and_acvf(model: CarmaModel, delta: float) -> tuple:
     C_p = phi(F) = 0 (Cayley-Hamilton).  Hence phi(B) Y_t = sum_j v_j^T eps_(t-j)
     with the Delta-scaled rows v_j = C_j^T b and the transition noise eps, the
     MA(p-1) part of the sampled ARMA, and
-    gamma_MA(n) = sigma2 * sum_j v_(j+n)^T Q v_j, a finite sum.
+    gamma_MA(n) = sigma2 * sum_j v_(j+n)^T Q v_j = sigma2 * sum_j W[j+n, j], a
+    sub-diagonal sum of one quadratic form W = V Q V^T, with V zero-padded
+    below so that rows j+n >= p read 0.
     """
     _check_grid(model, delta)
     F, Q, b = core.sampled_state_space(model, delta)
     p = model.p
     phi = np.ones(p + 1)
-    V = np.empty((p, p))
+    V = np.zeros((2 * p, p))
     C = np.eye(p)
     for j in range(1, p + 1):
         V[j - 1] = C.T @ b
-        FC = F @ C
-        phi[j] = -np.trace(FC) / j
-        C = FC + phi[j] * np.eye(p)
-    return phi, [model.sigma2 * float(np.sum((V[n:] @ Q) * V[: p - n])) for n in range(p)]
+        C = F @ C
+        phi[j] = -C.trace() / j
+        C.flat[:: p + 1] += phi[j]
+    W = (V @ Q) @ V[:p].T
+    k = np.arange(p)
+    return phi, (model.sigma2 * W[k[:, None] + k, k].sum(axis=1)).tolist()
 
 
 def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:

@@ -30,7 +30,20 @@ class TestCCoefficients:
         want = math.sinh(x) / (math.cosh(x) - math.cos(w))
         assert series == pytest.approx(want, rel=1e-12)
 
+    def test_vectorized_matches_scalar_bitwise(self):
+        # an omega array gives the scalar calls' rows, bit for bit
+        w = np.concatenate([np.linspace(-np.pi, -0.01, 157), np.linspace(0.01, np.pi, 157)])
+        for K in (0, 1, 4, 12):
+            c = chf.c_coefficients(w, K)
+            assert c.shape == (len(w), K + 1)
+            for x, row in zip(w, c):
+                assert row.tobytes() == chf.c_coefficients(float(x), K).tobytes()
+            grid = chf.c_coefficients(w.reshape(2, -1), K)
+            assert grid.tobytes() == c.tobytes()
+
     def test_pole_guard(self):
+        with pytest.raises(OmegaTooCloseToZero):
+            chf.c_coefficients(np.array([1.0, 0.0]), 1)
         with pytest.raises(OmegaTooCloseToZero):
             chf.c_coefficients(0.0, 1)
         with pytest.raises(OmegaTooCloseToZero):

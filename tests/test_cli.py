@@ -279,10 +279,14 @@ class TestEntryPoint:
 
     def test_import_skips_unused_scipy_subpackages(self, model_file):
         # No scipy module is loaded, neither by the import nor by validate,
-        # which also runs the simulator.
+        # which also runs the simulator; nor is numpy.polynomial, unless
+        # numpy's own import loads it (numpy < 2 does).
         code = (
-            "import sys, carmahf, carmahf.cli\n"
-            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import sys, numpy\n"
+            "eager = {'numpy.polynomial'} & set(sys.modules)\n"
+            "import carmahf, carmahf.cli\n"
+            "def loaded(): return sorted(m for m in sys.modules\n"
+            "    if m.split('.')[0] == 'scipy' or m == 'numpy.polynomial' and not eager)\n"
             "print(loaded())\n"
             f"code = carmahf.cli.main(['validate', {model_file!r}, '--delta-sweep', '0.004:0.001:0.5', "
             "'--length', '120000', '--seed', '42', '--no-timestamp', '--output', sys.argv[1]])\n"

@@ -3,7 +3,7 @@ import pytest
 
 import carmahf as chf
 from carmahf import CarmaModel, FactorizationError, core
-from carmahf.factorization import innovations_check, reconstruct_acvf
+from carmahf.factorization import _unit_product, _w_polynomial, innovations_check, reconstruct_acvf
 
 from conftest import corpus, random_stable_model
 
@@ -75,6 +75,46 @@ class TestSpectralFactorize:
             theta, tau2 = chf.spectral_factorize([2.0, -1.0])
         assert theta == pytest.approx([-1.0], abs=1e-6)
         assert tau2 == pytest.approx(1.0, rel=1e-6)
+
+
+class TestWForm:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_w_polynomial_is_chebyshev(self, m):
+        # D_n(w) = z^n + z^-n = 2 T_n(w / 2); its power coefficients are integers
+        from numpy.polynomial import chebyshev
+
+        def d_n(n):
+            return 2.0 * chebyshev.cheb2poly([0.0] * n + [1.0]) / 2.0 ** np.arange(n + 1)
+
+        for n in range(1, m + 1):
+            gamma = [0.0] * (m + 1)
+            gamma[n] = 1.0
+            want = np.zeros(m + 1)
+            want[: n + 1] = d_n(n)
+            assert np.array_equal(_w_polynomial(gamma), want)
+        gamma = np.random.default_rng(m).standard_normal(m + 1)
+        want = np.zeros(m + 1)
+        want[0] = gamma[0]
+        for n in range(1, m + 1):
+            want[: n + 1] += gamma[n] * d_n(n)
+        scale = np.sum(np.abs(gamma)) * 2.0**m
+        assert np.max(np.abs(np.array(_w_polynomial(list(gamma))) - want)) <= 8 * np.finfo(float).eps * scale
+
+    def test_unit_product_matches_np_poly(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m = int(rng.integers(1, 7))
+            roots = []
+            while len(roots) < m:
+                if m - len(roots) >= 2 and rng.random() < 0.5:
+                    r = rng.uniform(1.05, 4.0) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+                    roots += [r, np.conj(r)]
+                else:
+                    roots.append(complex(rng.uniform(1.05, 4.0) * rng.choice([-1.0, 1.0])))
+            monic = np.poly(roots)[::-1]  # prod(z - r_j), ascending
+            want = monic / monic[0]  # prod(1 - z / r_j)
+            got = np.array(_unit_product(roots))
+            assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 class TestInnovationsOracle:

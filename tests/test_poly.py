@@ -96,6 +96,32 @@ def test_conjugate_closure_random():
         assert all(a == b for a, b in zip(vals, conj))
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [2.0, 3.0, 1.0],
+        [5.0, 2.0, 1.0],
+        [0.0, 2.0, 3.0, 1.0],  # zero constant term: one exact zero root
+        [0.0, 0.0, 0.0, -1.5, 0.5, 2.0],  # three
+        [0.0, 0.0, 4.0],  # only zero roots
+        [1.0, 0.0, 0.0, 0.0, 1.0],
+    ],
+)
+def test_find_roots_bit_identical_to_np_roots(coeffs):
+    want = np.roots(coeffs[::-1]).astype(complex)
+    assert find_roots(Polynomial(coeffs)).tobytes() == want.tobytes()
+
+
+def test_find_roots_bit_identical_to_np_roots_random():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        deg = int(rng.integers(1, 10))
+        coeffs = rng.standard_normal(deg + 1)
+        coeffs[: int(rng.integers(0, deg))] = 0.0
+        want = np.roots(coeffs[::-1]).astype(complex)
+        assert find_roots(Polynomial(coeffs)).tobytes() == want.tobytes()
+
+
 def test_is_stable():
     assert is_stable(np.roots([1, 3, 2]))
     assert is_stable(np.array([-1.0 + 2j, -1.0 - 2j]))
