@@ -26,7 +26,6 @@ from .core import (
     kernel,
     kernel_derivative_at_zero,
     kernel_values,
-    matrix_exp,
     spectral_density_continuous,
     stationary_state_covariance,
     validate,
@@ -91,7 +90,6 @@ __all__ = [
     "kernel_derivative_at_zero",
     "kernel_values",
     "limit_ma_model",
-    "matrix_exp",
     "power_transfer",
     "reconstruct_acvf",
     "reconstruction_residual",

@@ -4,12 +4,14 @@ Model validation, companion state-space matrices, the causal kernel g, the
 continuous-time autocovariance and spectral density, the stationary state
 covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled
 coordinates that every Delta-grid quantity derives from.  Everything goes
-through the matrix exponential and the Lyapunov equation, never through the
-autoregressive roots, so every root multiplicity takes the same route.  The
-roots themselves (:func:`ar_roots`, the companion eigenvalues) serve only the
-stability check and coarse scale estimates.  The exponential (Al-Mohy &
-Higham scaling and squaring) and the Lyapunov solve (one Kronecker system)
-are numpy alone, like the rest of the package.
+through that one sampled system and the Lyapunov equation, never through the
+autoregressive roots, so every root multiplicity takes the same route; the
+kernel and the continuous-time autocovariance at lag h read the sampled
+system at Delta = h.  The roots themselves (:func:`ar_roots`, the companion
+eigenvalues) serve only the stability check and coarse scale estimates.  The
+one matrix exponential (a fixed [13/13] Pade approximant of the norm-capped
+Van Loan block) and the Lyapunov solve (one Kronecker system) are numpy
+alone, like the rest of the package.
 """
 
 from __future__ import annotations
@@ -111,17 +113,10 @@ def validate(model: CarmaModel, require_coprime: bool = True) -> CarmaModel:
     return model
 
 
-#: theta_m of Al-Mohy & Higham (2009, Table 3.1): the [m/m] Pade approximant
-#: of e^A has backward error below unit roundoff while its eta-norm is at most
-#: theta_m.  Degree 13 is the one that scaling and squaring falls back to.
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
-#: Coefficients b_0..b_m of the [m/m] Pade approximant, b_j ~ (2m-j)! / (j! (m-j)!).
-_PADE = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)] for m in _THETA}
-#: 1/|c_(2m+1)| = (2m)! (2m+1)! / (m!)^2, the leading backward-error coefficient.
-_ERR_RECIP = {m: math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2 for m in _THETA}
-
-
-#: Largest 1-norm of a Van Loan block exponentiated whole (theta_13 = 4.25).
+#: Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x, b_j ~ (26-j)! / (j! (13-j)!).
+_PADE13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
+#: Largest 1-norm of a Van Loan block exponentiated whole.  Below theta_13 = 4.25 the [13/13]
+#: Pade approximant has backward error below unit roundoff (Al-Mohy & Higham 2009, Table 3.1).
 _BLOCK_NORM = 4.0
 
 
@@ -129,111 +124,33 @@ def _norm1(X: np.ndarray) -> float:
     return float(np.abs(X).sum(0).max())
 
 
-def _ell(absA: np.ndarray, norm: float, m: int) -> int:
-    """Extra squarings ell(A, m) that keep the Pade truncation error at rounding level.
-
-    Al-Mohy & Higham (2009, eq. 5.1) from ``absA`` = abs(A) and ``norm`` =
-    ||A||_1: with alpha = |c_(2m+1)| ||abs(A)^(2m+1)||_1 / ||A||_1,
-    ell = max(ceil(log2(alpha / u) / (2m)), 0).  The power of abs(A) comes
-    by binary powering, its 1-norm from a row of column sums.
-    """
-    P, k, w = absA, 2 * m + 1, None
-    while True:
-        if k & 1:
-            w = P.sum(0) if w is None else w @ P
-        k >>= 1
-        if not k:
-            break
-        P = P @ P
-    alpha = float(w.max()) / (norm * _ERR_RECIP[m]) * 2.0**53 if norm else 0.0
-    return max(math.ceil(math.log2(alpha) / (2 * m)), 0) if alpha > 1.0 else 0
-
-
-def _pade_degree(A: np.ndarray) -> tuple:
-    """Pade degree m, squarings s and the even powers [I, A^2, ...] for e^A.
-
-    Al-Mohy & Higham (2009, Algorithm 5.1) with exact 1-norms: m is the first
-    of 3, 5, 7, 9 whose eta-norm max(||A^(2j)||^(1/2j),
-    ||A^(2j+2)||^(1/(2j+2))) is within theta_m and needs no extra squaring;
-    otherwise m = 13 with s halvings of A, s = None when A is not finite.
-    """
-    absA = np.abs(A)
-    norm = float(absA.sum(0).max())
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    P = [np.eye(len(A)), A2, A4, A6]
-    d6 = _norm1(A6) ** (1 / 6)
-    eta = max(_norm1(A4) ** 0.25, d6)
-    for m in (3, 5, 7, 9):
-        if m == 7:
-            P.append(A4 @ A4)
-            d8 = _norm1(P[4]) ** 0.125
-            eta = max(d6, d8)
-        if eta <= _THETA[m] and _ell(absA, norm, m) == 0:
-            return m, 0, P[: m // 2 + 1]
-    eta = min(eta, max(d8, _norm1(A4 @ A6) ** 0.1))
-    if not math.isfinite(eta):
-        return 13, None, P[:4]
-    s = math.ceil(math.log2(eta / _THETA[13])) if eta > _THETA[13] else 0
-    s += _ell(absA * 2.0**-s, norm * 2.0**-s, 13)
-    return 13, s, P[:4]
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A for one n x n matrix, n >= 2: the [m/m] Pade approximant of
-    2^-s A from (V - U) X = V + U, squared s times."""
-    m, s, P = _pade_degree(A)
-    b = _PADE[m]
-    if m < 13:
-        U = A @ sum(c * X for c, X in zip(b[1::2], P))
-        V = sum(c * X for c, X in zip(b[0::2], P))
-        return np.linalg.solve(V - U, V + U)
-    if s is None:
-        return np.full(A.shape, np.nan)
-    I, A2, A4, A6 = P
-    A, A2, A4, A6 = A * 2.0**-s, A2 * 2.0 ** (-2 * s), A4 * 2.0 ** (-4 * s), A6 * 2.0 ** (-6 * s)
-    U = A @ (A6 @ (b[9] * A2 + b[11] * A4 + b[13] * A6) + (b[1] * I + b[3] * A2 + b[5] * A4 + b[7] * A6))
-    V = A6 @ (b[8] * A2 + b[10] * A4 + b[12] * A6) + (b[0] * I + b[2] * A2 + b[4] * A4 + b[6] * A6)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one matrix (n, n) or of each slice of a stack (..., n, n).
-
-    Scaling and squaring with a diagonal Pade approximant, the degree and the
-    number of squarings chosen per matrix as in Al-Mohy & Higham (2009), *A
-    new scaling and squaring algorithm for the matrix exponential*, SIAM J.
-    Matrix Anal. Appl. 31(3), with exact 1-norms since n is at most 2p here.
-    1 x 1 matrices take ``np.exp``; a matrix with non-finite entries, or
-    whose powers overflow, gives NaN.
-    """
-    A = np.asarray(M, dtype=float)
-    if A.shape[-1] == 1:
-        return np.exp(A)
-    if A.ndim == 2:
-        return _expm(A)
-    out = np.empty(A.shape)
-    for i in np.ndindex(A.shape[:-2]):
-        out[i] = _expm(A[i])
-    return out
+def _pade13(M: np.ndarray) -> np.ndarray:
+    """e^M = X from the [13/13] Pade (V - U) X = V + U if ||M||_1 <= _BLOCK_NORM, else NaN."""
+    if not _norm1(M) <= _BLOCK_NORM:
+        return np.full(M.shape, np.nan)
+    b = _PADE13
+    I = np.eye(len(M))
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    U = M @ (M6 @ (b[9] * M2 + b[11] * M4 + b[13] * M6) + (b[1] * I + b[3] * M2 + b[5] * M4 + b[7] * M6))
+    V = M6 @ (b[8] * M2 + b[10] * M4 + b[12] * M6) + (b[0] * I + b[2] * M2 + b[4] * M4 + b[6] * M6)
+    return np.linalg.solve(V - U, V + U)
 
 
 def kernel_values(model: CarmaModel, t) -> np.ndarray:
     """The causal kernel g evaluated on an array of times.
 
-    g(t) = b^T e^(At) e_p for t > 0 and 0 for t < 0, from one matrix
-    exponential per time.  At t = 0 the right limit g(0+) is returned
-    (relevant only when p - q = 1).
+    g(t) = b^T e^(At) e_p for t > 0, read off the sampled system at Delta = t
+    (:func:`_b_exp`), and 0 for t < 0.  At t = 0 the right limit
+    g(0+) = b_(p-1) is returned (nonzero only when p - q = 1); a NaN time
+    gives NaN.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t.shape)
-    pos = t >= 0.0
-    E = matrix_exp(model.companion() * t[pos][:, None, None])
-    out[pos] = E[:, :, -1] @ model.b_vector()
+    out[t == 0.0] = model.b_vector()[-1]
+    rest = ~(t <= 0.0)
+    out[rest] = _b_exp(model, t[rest])[:, -1]
     return out
 
 
@@ -275,16 +192,32 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     """Autocovariance gamma_Y(h) of the continuous-time process.
 
-    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, from one matrix
-    exponential per lag; valid for every root multiplicity.
+    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, with b^T e^(A|h|)
+    read off the sampled system at Delta = |h| (:func:`_b_exp`); valid for
+    every root multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself.
     """
     h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
     b = model.b_vector()
-    sb = stationary_state_covariance(model) @ b
-    out = model.sigma2 * (matrix_exp(model.companion() * h_arr[..., None, None]) @ sb) @ b
+    sb = model.sigma2 * (stationary_state_covariance(model) @ b)
+    out = np.full(h_arr.shape, sb @ b)
+    lag = h_arr != 0.0
+    out[lag] = _b_exp(model, h_arr[lag]) @ sb
     if np.isscalar(h) or np.asarray(h).ndim == 0:
         return float(out[0])
     return out
+
+
+def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
+    """The rows b^T e^(A h) = (b_h^T F) T^-1 for lags h != 0, with (F, Q, b_h) the sampled system at h.
+
+    T = diag(h^(p-1), ..., h, 1).  Where h^(p-1-k) is not a normal float,
+    h ||A|| is far below rounding and the entry is b_k itself.
+    """
+    p, b = model.p, model.b_vector()
+    rows = np.array([bh @ F for F, _, bh in (sampled_state_space(model, x) for x in h)]).reshape(len(h), p)
+    t = h[:, None] ** (p - 1.0 - np.arange(p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t < np.finfo(float).tiny, b, rows / t)
 
 
 def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
@@ -300,11 +233,16 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
 
 
 def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:
-    """[[S h, h e_p e_p^T], [0, -S^T h]] with S = T^-1 A T, T = diag(h^(p-1), ..., h, 1)."""
+    """[[S h, h e_p e_p^T], [0, -S^T h]] with S = T^-1 A T, T = diag(h^(p-1), ..., h, 1).
+
+    S h is built from its nonzero entries alone, the unit superdiagonal and the last row
+    -a_(p-j) h^(p-j): a zero of A times h^-k would be NaN once h^-k overflows.
+    """
     p = model.p
-    k = np.arange(p)
     M = np.zeros((2 * p, 2 * p))
-    M[:p, :p] = model.companion() * h ** (k[:, None] - k[None, :] + 1.0)
+    i = np.arange(p - 1)
+    M[i, i + 1] = 1.0
+    M[p - 1, :p] = -np.array(model.a[::-1]) * h ** np.arange(p, 0, -1.0)
     M[p:, p:] = -M[:p, :p].T
     M[p - 1, 2 * p - 1] = h
     return M
@@ -320,14 +258,15 @@ def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
     exponential, exp([[S delta, delta e_p e_p^T], [0, -S^T delta]]) =
     [[F, G], [0, F^-T]] with Q = G F^T.
 
-    The scaling is not optional: expm picks its Pade degree from the matrix
-    norm, so the delta^k-sized entries of an unscaled F and Q_Delta come out
-    with only absolute accuracy, while here every entry of S delta is O(1)
-    and every entry of Q is O(delta).
+    The exponential is one [13/13] Pade approximant with no squaring
+    (:func:`_pade13`).  The scaling is not optional: its error is relative to
+    the block's norm, so the delta^k-sized entries of an unscaled F and
+    Q_Delta would come out with only absolute accuracy, while here every
+    entry of S delta is O(1) and every entry of Q is O(delta).
 
-    On a coarse grid the F^-T block grows like e^(|lambda| delta) and the
-    squarings inside expm lose Q to cancellation.  A block of 1-norm above
-    ``_BLOCK_NORM`` is built for h = delta / 2^s instead, scaled with its own
+    On a coarse grid the F^-T block grows like e^(|lambda| delta), and
+    squaring its exponential would lose Q to cancellation.  A block of 1-norm
+    above ``_BLOCK_NORM`` is built for h = delta / 2^s instead, scaled with its own
     T and s the least that brings it within, and doubled s times by
     Q <- Q + F Q F^T, F <- F F (only PSD terms add up), with the exact change
     of scale diag(2^-(p-1-k)) from step h to 2h.  A block that is not finite,
@@ -339,7 +278,7 @@ def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
     while _BLOCK_NORM < _norm1(M) < math.inf:
         s += 1
         M = _van_loan_block(model, delta * 2.0**-s)
-    E = matrix_exp(M)
+    E = _pade13(M)
     F = E[:p, :p]
     Q = E[:p, p:] @ F.T
     d = 2.0 ** (k + 1.0 - p)

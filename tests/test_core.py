@@ -4,7 +4,7 @@ from mpmath import mp
 from scipy.integrate import quad
 
 import carmahf as chf
-from carmahf import CarmaModel, ModelError
+from carmahf import CarmaModel, ModelError, core
 from carmahf.core import ar_roots
 
 from conftest import random_stable_model, residue_acvf, residue_kernel
@@ -198,7 +198,52 @@ def max_rel_error(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
+def mp_system(model):
+    """(A, b, Sigma) of the model in mpmath at the working precision."""
+    p = model.p
+    A = mp.matrix(model.companion().tolist())
+    K = mp.matrix((np.kron(np.eye(p), model.companion()) + np.kron(model.companion(), np.eye(p))).tolist())
+    rhs = mp.matrix(p * p, 1)
+    rhs[p * p - 1] = -1
+    sigma = mp.lu_solve(K, rhs)
+    return A, mp.matrix(model.b_vector().tolist()), mp.matrix([[sigma[i * p + j] for j in range(p)] for i in range(p)])
+
+
+def mp_kernel_acvf(model, lags):
+    """g(h) and gamma_Y(h) to 60 digits from the row b^T e^(Ah), rounded to floats.
+
+    Below h = 1e-3 the row is the Taylor series, whose terms fall at once;
+    above it mp.expm, whose error is relative to a norm of order one.
+    """
+    g, gamma = [], []
+    with mp.workdps(60):
+        A, b, sigma = mp_system(model)
+        for h in lags:
+            if h >= 1e-3:
+                row = b.T * mp.expm(A * mp.mpf(h))
+            else:
+                row = term = b.T
+                for n in range(1, 40):
+                    term = term * A * (mp.mpf(h) / n)
+                    row += term
+            g.append(row[model.p - 1])
+            gamma.append(model.sigma2 * (row * sigma * b)[0])
+    return np.array(g, dtype=float), np.array(gamma, dtype=float)
+
+
+def mp_scaled_exp(A, t):
+    """T^-1 e^(At) T with T = diag(t^(p-1), ..., t, 1) to 60 digits, rounded to floats."""
+    p = len(A)
+    with mp.workdps(60):
+        T = mp.diag([mp.mpf(t) ** (p - 1 - i) for i in range(p)])
+        return np.array((T**-1 * mp.expm(mp.matrix(A.tolist()) * mp.mpf(t)) * T).tolist(), dtype=float)
+
+
 class TestMatrixExp:
+    """The one matrix exponential, the [13/13] Pade approximant of the norm-capped
+    Van Loan block, checked through the outputs that read it: the sampled system,
+    the kernel and the continuous-time autocovariance."""
+
     # (a, b) with distinct, double, quadruple and nearly repeated AR roots
     VAN_LOAN_MODELS = (
         ([6.0, 11.0, 6.0], [1.0]),
@@ -210,62 +255,110 @@ class TestMatrixExp:
     @pytest.mark.parametrize("delta", [1e-1, 1e-5])
     @pytest.mark.parametrize("a, b", VAN_LOAN_MODELS)
     def test_van_loan_block_against_mpmath(self, a, b, delta):
-        # the Delta-scaled block of core.sampled_state_space, within 8 ulp of its norm
+        # the Delta-scaled block of core.sampled_state_space: its exponential, and the
+        # F and Q = G F^T read from it, each within 8 ulp of its norm
         m = CarmaModel(a, b)
         p, k = m.p, np.arange(m.p)
         M = np.zeros((2 * p, 2 * p))
         M[:p, :p] = m.companion() * delta ** (k[:, None] - k[None, :] + 1.0)
         M[p:, p:] = -M[:p, :p].T
         M[p - 1, 2 * p - 1] = delta
-        assert max_rel_error(chf.matrix_exp(M), mp_expm(M)) <= 8 * EPS
+        assert np.array_equal(core._van_loan_block(m, delta), M)
+        assert max_rel_error(core._pade13(M), mp_expm(M)) <= 8 * EPS
+        with mp.workdps(60):
+            E = mp.expm(mp.matrix(M.tolist()))
+            G = E[:p, p:] * E[:p, :p].T
+            F_ref = np.array(E[:p, :p].tolist(), dtype=float)
+            Q_ref = np.array(((G + G.T) / 2).tolist(), dtype=float)
+        F, Q, _ = core.sampled_state_space(m, delta)
+        assert max_rel_error(F, F_ref) <= 8 * EPS
+        assert max_rel_error(Q, Q_ref) <= 8 * EPS
 
     def test_scaled_degree_13_against_mpmath(self):
-        # an unscaled A Delta at Delta = 1 needs degree 13 and two squarings; 16 ulp
-        from carmahf.core import _pade_degree
-
-        A = CarmaModel([10.0, 35.0, 50.0, 24.0, 5.0], [1.0]).companion()
-        m, s, _ = _pade_degree(A)
-        assert m == 13 and s > 0
-        assert max_rel_error(chf.matrix_exp(A), mp_expm(A)) <= 16 * EPS
+        # at Delta = 1, T = I and F = e^A; the block needs halving and doubling; 16 ulp,
+        # and the kernel and autocovariance at t = 1 within 16 ulp of their values
+        m = CarmaModel([10.0, 35.0, 50.0, 24.0, 5.0], [1.0])
+        assert max_rel_error(core.sampled_state_space(m, 1.0)[0], mp_expm(m.companion())) <= 16 * EPS
+        g, gamma = mp_kernel_acvf(m, [1.0])
+        assert abs(chf.kernel(m, 1.0) - g[0]) <= 16 * EPS * abs(g[0])
+        assert abs(chf.acvf_continuous(m, 1.0) - gamma[0]) <= 16 * EPS * abs(gamma[0])
 
     def test_stack_against_mpmath(self):
-        # each slice scaled and squared on its own; 16 ulp per slice
-        A = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0]).companion()
+        # a quadruple root over a stack of lags: F at each lag, and g and gamma_Y over
+        # the whole stack, each within 16 ulp of its norm
+        m = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0])
         ts = np.array([0.0, 1e-5, 0.3, 2.0, 7.5])
-        got = chf.matrix_exp(A * ts[:, None, None])
-        assert got.shape == (len(ts), 4, 4)
-        for t, E in zip(ts, got):
-            assert max_rel_error(E, mp_expm(A * t)) <= 16 * EPS
-
-    def test_empty_stack_and_one_by_one(self):
-        assert chf.matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-        assert chf.matrix_exp(np.array([[-0.7]]))[0, 0] == np.exp(-0.7)
-        assert chf.matrix_exp(np.full((4, 1, 1), -2.5)).ravel().tolist() == [np.exp(-2.5)] * 4
-
-    def test_zero(self):
-        assert np.array_equal(chf.matrix_exp(np.zeros((3, 3))), np.eye(3))
+        for t in ts[1:]:
+            assert max_rel_error(core.sampled_state_space(m, t)[0], mp_scaled_exp(m.companion(), t)) <= 16 * EPS
+        g, gamma = mp_kernel_acvf(m, ts)
+        assert max_rel_error(chf.kernel_values(m, ts), g) <= 16 * EPS
+        assert max_rel_error(chf.acvf_continuous(m, ts), gamma) <= 16 * EPS
 
     def test_non_finite_gives_nan(self):
-        # a NaN entry, and entries whose powers overflow (a sampled block at Delta = 1e200)
-        for M in ([[np.nan, 0.0], [0.0, 1.0]], [[1e300, 1.0], [0.0, 1.0]]):
+        # a NaN coefficient, and a Delta whose block overflows
+        for m, delta in ((CarmaModel([np.nan, 1.0], [1.0]), 0.1), (CarmaModel([3.0, 2.0], [1.0]), 1e200)):
             with np.errstate(over="ignore", invalid="ignore"):
-                assert np.isnan(chf.matrix_exp(np.array(M))).all()
+                F, Q, _ = core.sampled_state_space(m, delta)
+            assert np.isnan(F).all() and np.isnan(Q).all()
 
     def test_diagonal(self):
-        got = chf.matrix_exp(np.diag([-1.0, -2.0]))
-        assert np.allclose(got, np.diag([np.exp(-1), np.exp(-2)]), rtol=1e-14)
+        # p = 1: F = e^(-a Delta) and Q = (1 - e^(-2 a Delta)) / (2 a) from the 2 x 2 block
+        for a in (1.0, 2.0):
+            F, Q, _ = core.sampled_state_space(CarmaModel([a], [1.0]), 1.0)
+            assert F[0, 0] == pytest.approx(np.exp(-a), rel=1e-14)
+            assert Q[0, 0] == pytest.approx(-np.expm1(-2 * a) / (2 * a), rel=1e-14)
 
     def test_companion_entry(self, carma20):
-        got = chf.matrix_exp(carma20.companion())
+        got = core.sampled_state_space(carma20, 1.0)[0]
         assert got[0, 0] == pytest.approx(2 * np.exp(-1) - np.exp(-2), rel=1e-12)
 
     def test_eigen_oracle(self):
+        # distinct-root models at Delta = 1, where F = e^A
         rng = np.random.default_rng(9)
         for _ in range(5):
-            M = rng.standard_normal((4, 4))
-            lam, V = np.linalg.eig(M)
+            m = random_stable_model(rng)
+            lam, V = np.linalg.eig(m.companion())
             oracle = np.real(V @ np.diag(np.exp(lam)) @ np.linalg.inv(V))
-            assert np.allclose(chf.matrix_exp(M), oracle, rtol=1e-10, atol=1e-12)
+            assert np.allclose(core.sampled_state_space(m, 1.0)[0], oracle, rtol=1e-10, atol=1e-12)
+
+
+class TestEdgeLags:
+    LAGS = np.array([0.0, 1e-300, 1e-120, 1e-60, 1e-5, 0.3, 2.0, 7.5, 30.0])
+    MODELS = (
+        ([1.0], [1.0]),
+        ([3.0, 2.0], [1.0, 1.0]),
+        ([6.0, 11.0, 6.0], [0.3, -0.2, 1.0]),
+        (np.poly([-1.0, -1.001, -2.0])[1:], [0.5, 1.0]),
+        ([4.0, 6.0, 4.0, 1.0], [1.0]),
+        ([4.0, 6.0, 4.0, 1.0], [0.5, 1.0]),
+        ([10.0, 35.0, 50.0, 24.0, 5.0], [1.0]),
+        ([10.0, 35.0, 50.0, 24.0, 5.0], [2.0, 3.0, 1.0]),
+    )
+
+    @pytest.mark.parametrize("a, b", MODELS)
+    def test_against_mpmath(self, a, b):
+        # Lag 0 gives the exact limits.  Up to 1e-5 every value is one dominant Taylor
+        # term, within 16 ulp of itself; over all lags within 32 ulp of the largest
+        # (the worst measured is 16.2, the fifth-order kernel at t = 7.5).
+        m = CarmaModel(a, b, sigma2=0.7)
+        g, gamma = chf.kernel_values(m, self.LAGS), chf.acvf_continuous(m, self.LAGS)
+        assert g[0] == m.b_vector()[-1]
+        assert gamma[0] == (m.sigma2 * (chf.stationary_state_covariance(m) @ m.b_vector())) @ m.b_vector()
+        g_ref, gamma_ref = mp_kernel_acvf(m, self.LAGS)
+        small = self.LAGS <= 1e-5
+        assert np.all(np.abs(g - g_ref)[small] <= 16 * EPS * np.abs(g_ref)[small])
+        assert np.all(np.abs(gamma - gamma_ref)[small] <= 16 * EPS * np.abs(gamma_ref)[small])
+        assert max_rel_error(g, g_ref) <= 32 * EPS
+        assert max_rel_error(gamma, gamma_ref) <= 32 * EPS
+
+    def test_tiny_delta_block_is_finite(self):
+        # h^-k overflows at Delta = 1e-120, and 0 * inf would make F NaN
+        F, Q, b = core.sampled_state_space(CarmaModel([10.0, 35.0, 50.0, 24.0, 5.0], [1.0]), 1e-120)
+        assert np.isfinite(F).all()
+
+    def test_nan_time(self, carma21):
+        assert np.isnan(chf.kernel_values(carma21, [0.5, np.nan])).tolist() == [False, True]
+        assert np.isnan(chf.acvf_continuous(carma21, [0.5, np.nan])).tolist() == [False, True]
 
 
 class TestStationaryStateCovariance:

@@ -60,6 +60,7 @@ class TestTransitionNoiseCovariance:
 
     def test_quadrature_oracle(self, carma30):
         from scipy.integrate import quad
+        from scipy.linalg import expm
 
         d = 0.2
         A = carma30.companion()
@@ -67,7 +68,7 @@ class TestTransitionNoiseCovariance:
         for i in range(3):
             for j in range(3):
                 val, _ = quad(
-                    lambda u: chf.matrix_exp(A * u)[i, -1] * chf.matrix_exp(A * u)[j, -1],
+                    lambda u: expm(A * u)[i, -1] * expm(A * u)[j, -1],
                     0.0,
                     d,
                     limit=100,
