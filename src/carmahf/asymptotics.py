@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import core
 from .core import CarmaModel
 from .factorization import spectral_factorize
 
@@ -62,6 +63,7 @@ def c_coefficients(omega, K: int) -> np.ndarray:
 
 def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
     """Leading-order filtered spectral density as Delta -> 0 (fixed omega != 0)."""
+    core._check_delta(delta)
     w = np.asarray(omega, dtype=float)
     d = model.p - model.q
     out = (
@@ -103,6 +105,7 @@ def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
 
 def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:
     """Leading-order gamma_MA(n) as Delta -> 0."""
+    core._check_delta(delta)
     coef = gamma_ma_asymptotic_coefficient(model.p, model.q, n)
     # a numpy power overflows to inf where a Python float power raises OverflowError
     return float(coef) * model.sigma2 * float(np.float64(delta) ** (2 * (model.p - model.q) - 1))

@@ -8,6 +8,7 @@ machine-readable CSV or JSON document.  Exit codes: 0 success, 1 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -83,27 +84,20 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
     meta["version"] = __version__
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out = sys.stdout if args.output == "-" else None
     try:
-        if out is None:
-            out = open(args.output, "w", newline="")
-            close = True
-        else:
-            close = False
-        if args.format == "json":
-            json.dump({"meta": meta, "columns": columns, "rows": rows}, out, indent=2)
-            out.write("\n")
-        else:
-            # CSV dialect: '.' decimal separator, headers in row 1, metadata
-            # as leading comment lines.
-            for key, val in meta.items():
-                out.write(f"# {key}: {json.dumps(val)}\n")
-            writer = csv.writer(out)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(row)
-        if close:
-            out.close()
+        with contextlib.nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w", newline="") as out:
+            if args.format == "json":
+                json.dump({"meta": meta, "columns": columns, "rows": rows}, out, indent=2)
+                out.write("\n")
+            else:
+                # CSV dialect: '.' decimal separator, headers in row 1, metadata
+                # as leading comment lines.
+                for key, val in meta.items():
+                    out.write(f"# {key}: {json.dumps(val)}\n")
+                writer = csv.writer(out)
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow(row)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write output: {exc}")
 
@@ -126,7 +120,7 @@ def cmd_acvf(args) -> int:
 def _auto_omega_max(model: CarmaModel) -> float:
     d = model.p - model.q
     g0 = core.acvf_continuous(model, 0.0)
-    omega = 10.0 * (1.0 + np.max(np.abs(core.ar_roots(model))))
+    omega = 10.0 * (1.0 + max(map(abs, model.roots)))
     while omega < 1e6:
         tail = 4.0 * core.spectral_density_continuous(model, omega) * omega / (2 * d - 1)
         if tail < 1e-6 * g0:

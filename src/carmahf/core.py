@@ -1,23 +1,22 @@
 """Continuous-time CARMA layer and the sampled state-space core.
 
-Model validation, companion state-space matrices, the causal kernel g, the
-continuous-time autocovariance and spectral density, the stationary state
-covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled
-coordinates that every Delta-grid quantity derives from.  Everything goes
-through that one sampled system and the Lyapunov equation, never through the
-autoregressive roots, so every root multiplicity takes the same route; the
-kernel and the continuous-time autocovariance at lag h read the sampled
-system at Delta = h.  The roots themselves (:func:`ar_roots`, the companion
-eigenvalues) serve only the stability check and coarse scale estimates.  The
-one matrix exponential (a fixed [13/13] Pade approximant of the norm-capped
-Van Loan block) and the Lyapunov solve (one Kronecker system) are numpy
-alone, like the rest of the package.
+The model, the one Delta rule, companion state-space matrices, the causal
+kernel g, the continuous-time autocovariance and spectral density, the
+stationary state covariance, and the sampled system (F, Q_Delta, b) in
+Delta-scaled coordinates that every Delta-grid quantity derives from.
+Everything goes through that one sampled system and the Lyapunov equation,
+never through the autoregressive roots, so every root multiplicity takes the
+same route; the kernel and the continuous-time autocovariance at lag h read
+the sampled system at Delta = h.  The roots (``CarmaModel.roots``, solved once
+when the model is built) serve only the stability check and coarse scale
+estimates.  The one matrix exponential (a fixed [13/13] Pade approximant of the
+norm-capped Van Loan block) and the Lyapunov solve are numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,24 +34,43 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class CarmaModel:
-    """CARMA(p, q) specification.
+    """CARMA(p, q) specification, valid once it is built.
 
     ``a`` holds the autoregressive coefficients (a_1, ..., a_p) of
     a(z) = z^p + a_1 z^(p-1) + ... + a_p, ``b`` the moving-average
     coefficients (b_0, ..., b_q) with b_q = 1, and ``sigma2`` the variance of
     the driving Levy process per unit time.
+
+    Construction raises :class:`ModelError` naming the first violated
+    assumption: ``bad_orders``, ``nonpositive_sigma2``, ``non_finite``,
+    ``bad_normalization`` or ``unstable_ar``.  ``roots`` keeps the companion
+    eigenvalues of the stability test, outside equality and hashing; an m-fold
+    root comes out split by about eps^(1/m), ample for sign and scale tests.
     """
 
     a: tuple
     b: tuple
     sigma2: float
     label: str | None = None
+    roots: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, a, b, sigma2=1.0, label=None):
         object.__setattr__(self, "a", tuple(float(x) for x in a))
         object.__setattr__(self, "b", tuple(float(x) for x in b))
         object.__setattr__(self, "sigma2", float(sigma2))
         object.__setattr__(self, "label", label)
+        if not 0 <= self.q < self.p:
+            raise ModelError("bad_orders", f"require 0 <= q < p, got p={self.p} q={self.q}")
+        if not self.sigma2 > 0.0:
+            raise ModelError("nonpositive_sigma2", f"sigma2 must be positive, got {self.sigma2}")
+        if not np.isfinite([*self.a, *self.b, self.sigma2]).all():
+            raise ModelError("non_finite", f"a, b and sigma2 must be finite, got {self.a}, {self.b}, {self.sigma2}")
+        if self.b[-1] != 1.0:
+            raise ModelError("bad_normalization", f"leading MA coefficient must be 1, got {self.b[-1]}")
+        roots = np.linalg.eigvals(self.companion()).astype(complex)
+        if not poly.is_stable(roots):
+            raise ModelError("unstable_ar", "autoregressive roots must lie strictly in the left half plane")
+        object.__setattr__(self, "roots", tuple(roots.tolist()))
 
     @property
     def p(self) -> int:
@@ -84,33 +102,22 @@ class CarmaModel:
         return v
 
 
-def ar_roots(model: CarmaModel) -> np.ndarray:
-    """The autoregressive roots, as the eigenvalues of the companion matrix.
+def validate(model: CarmaModel) -> CarmaModel:
+    """The identifiability check: raise ModelError("common_zeros") if a and b share a zero.
 
-    Repeated roots come out split by about eps^(1/m) for multiplicity m,
-    which is ample for the sign and scale tests they serve.
+    Every other assumption holds once the model is built; second-order
+    quantities need no coprimality (a shared zero makes the state space
+    non-minimal), so no library routine calls this.
     """
-    return np.linalg.eigvals(model.companion())
-
-
-def validate(model: CarmaModel, require_coprime: bool = True) -> CarmaModel:
-    """Check all standing assumptions; raise ModelError naming the violation.
-
-    ``require_coprime=False`` skips the common-zero check: coprimality is an
-    identifiability condition, and every second-order quantity here is well
-    defined without it (a shared zero just makes the state space non-minimal).
-    """
-    if model.p < 1 or model.q >= model.p:
-        raise ModelError("bad_orders", f"require 0 <= q < p, got p={model.p} q={model.q}")
-    if model.sigma2 <= 0.0:
-        raise ModelError("nonpositive_sigma2", f"sigma2 must be positive, got {model.sigma2}")
-    if model.b[-1] != 1.0:
-        raise ModelError("bad_normalization", f"leading MA coefficient must be 1, got {model.b[-1]}")
-    if not poly.is_stable(ar_roots(model)):
-        raise ModelError("unstable_ar", "autoregressive roots must lie strictly in the left half plane")
-    if require_coprime and not poly.coprime(model.ar_polynomial(), model.ma_polynomial()):
+    if not poly.coprime(model.ar_polynomial(), model.ma_polynomial()):
         raise ModelError("common_zeros", "AR and MA polynomials share a zero")
     return model
+
+
+def _check_delta(delta: float) -> None:
+    """The one rule for a grid size Delta: finite and positive."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x, b_j ~ (26-j)! / (j! (13-j)!).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, poly, sampling
+from . import poly, sampling
 from .core import CarmaModel
 from .sampling import CovSequence
 
@@ -176,7 +176,6 @@ def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:
 
 def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:
     """Full chain: filter coefficients, exact gamma_MA, spectral factorization."""
-    core.validate(model, require_coprime=False)
     phi, gamma = sampling._filter_and_acvf(model, delta)
     theta, tau2, boundary = _factorize(gamma)
     return SampledArma(delta=delta, phi=tuple(phi), theta=tuple(theta), tau2=tau2, boundary=boundary)

@@ -10,8 +10,8 @@ gives phi as the characteristic polynomial of F and the MA(p-1) part of
 phi(B) Y from the Faddeev-LeVerrier matrices of F, and :func:`_shifted` gives
 the resolvent stack behind psi and f_Delta, a quadratic form in Q.  No route
 needs the autoregressive roots, so repeated and nearly repeated roots need no
-special case.  The roots (companion eigenvalues, :func:`core.ar_roots`) serve
-only the Delta-regime, :func:`coarseness`, and its coarse-grid warning.
+special case.  ``CarmaModel.roots`` serve only :func:`coarseness` and its
+warning; Delta passes the one rule of :func:`core._check_delta`.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class CovSequence:
 
 def coarseness(model: CarmaModel, delta: float) -> float:
     """Delta * max|Re lambda|; the small-Delta regime is coarseness <= 1."""
-    return delta * float(np.max(np.abs(core.ar_roots(model).real)))
+    return delta * max(abs(z.real) for z in model.roots)
 
 
 def _check_grid(model: CarmaModel, delta: float) -> None:
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    core._check_delta(delta)
     c = coarseness(model, delta)
     if c > 1.0:
         warnings.warn(
@@ -159,8 +158,9 @@ def acvf_filtered(model: CarmaModel, delta: float, n: int) -> float:
 
 def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = None) -> CovSequence:
     """Exact CovSequence gamma_MA(0..n_max); n_max defaults to p-1."""
+    n_max = model.p - 1 if n_max is None else n_max
+    if n_max < 0:
+        raise ValueError("lag must be non-negative")
     gamma = _filter_and_acvf(model, delta)[1]
-    if n_max is None:
-        n_max = model.p - 1
     vals = tuple(gamma[n] if n < model.p else 0.0 for n in range(n_max + 1))
     return CovSequence(delta=delta, values=vals, provenance="exact")

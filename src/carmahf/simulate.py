@@ -7,7 +7,8 @@ Delta-scaled sampled system (F, Q, b) of :func:`core.sampled_state_space`,
 the one every Delta-grid quantity reads.  Both simulators run the state
 recursion through one propagator, a doubling scan of real numpy matmuls
 within fixed blocks, which takes every root multiplicity the same way and
-needs no library beyond numpy.
+needs no library beyond numpy.  Models are valid once built, so only Delta
+(:func:`core._check_delta`) and the path length are checked.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -70,8 +71,7 @@ def spawn_seeds(seed: int, k: int) -> list:
 
 
 def _check_path(delta: float, n: int) -> None:
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    core._check_delta(delta)
     if n < 0:
         raise ValueError(f"path length n must be >= 0, got {n}")
 
@@ -117,14 +117,10 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     (F, Q, b) of :func:`core.sampled_state_space`, T = diag(delta^(p-1), ...,
     delta, 1): transitions F with Gaussian noise of covariance sigma2 * Q, and
     a stationary initial state drawn with T^-1 chol(sigma2 Sigma), the
-    Cholesky factor of its covariance T^-1 sigma2 Sigma T^-T.  With
-    sigma2 = 0 the path is identically zero (degenerate run mode), and n = 0
-    gives an empty path.
+    Cholesky factor of its covariance T^-1 sigma2 Sigma T^-T.  n = 0 gives
+    an empty path.
     """
     _check_path(delta, n)
-    if model.sigma2 == 0.0:
-        return SimulationResult(delta=delta, y=np.zeros(n), seed=seed, scheme="exact_gaussian")
-    core.validate(model, require_coprime=False)
     if n == 0:
         return SimulationResult(delta=delta, y=np.zeros(0), seed=seed, scheme="exact_gaussian")
     rng = np.random.default_rng(seed)
@@ -168,12 +164,11 @@ def simulate_euler(
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     _check_path(delta, n)
-    core.validate(model, require_coprime=False)
     rng = np.random.default_rng(seed)
     p = model.p
     dt = delta / substeps
     F = np.eye(p) + model.companion() * dt
-    min_re = np.abs(core.ar_roots(model).real).min()
+    min_re = min(abs(z.real) for z in model.roots)
     burn = int(np.ceil(20.0 / (delta * min_re)))
     dl = _driver_increments(rng, driver, model.sigma2, dt, (burn + n) * substeps)
     y_sub = _propagate(model.b_vector(), F, np.eye(p)[:, -1:], dl[:, None], np.zeros(p))[0]

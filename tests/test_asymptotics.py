@@ -118,7 +118,8 @@ class TestGammaMaAsymptotic:
         sigma2, delta = 1.3, 0.1
         for p in range(1, 9):
             for q in range(p):
-                m = CarmaModel([1.0] * p, [1.0] * (q + 1), sigma2=sigma2)
+                # (z + 1)^p: a stable model of orders (p, q); the values depend on (p, q, sigma2) only
+                m = CarmaModel([math.comb(p, k) for k in range(1, p + 1)], [1.0] * (q + 1), sigma2=sigma2)
                 c = [float(gamma_ma_asymptotic_coefficient(p, q, n)) for n in range(p)]
                 for w in (np.pi / 4, np.pi / 2, 2.0, np.pi):
                     trig = c[0] + 2.0 * sum(c[n] * math.cos(n * w) for n in range(1, p))
@@ -193,3 +194,18 @@ class TestDifferencedSpectrum:
         # delta^(2d-1) overflows to inf, as in f_ma_asymptotic, instead of raising OverflowError
         with np.errstate(over="ignore"):
             assert chf.differenced_spectrum_asymptotic(carma20, 1e200, 1.3) == np.inf
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "limit",
+    [
+        lambda m, d: chf.gamma_ma_asymptotic(m, d, 0),
+        lambda m, d: chf.f_ma_asymptotic(m, d, 1.3),
+        lambda m, d: chf.differenced_spectrum_asymptotic(m, d, 1.3),
+    ],
+    ids=["gamma_ma", "f_ma", "differenced"],
+)
+def test_asymptotics_reject_bad_delta(carma20, limit, delta):
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        limit(carma20, delta)

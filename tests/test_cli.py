@@ -63,6 +63,23 @@ class TestModelLoading:
         assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
         assert "unstable_ar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": [float("nan")], "b": [1.0], "sigma2": 1.0},
+            {"a": [1.0], "b": [1.0], "sigma2": float("inf")},
+            {"a": [3.0, float("-inf")], "b": [1.0], "sigma2": 1.0},
+        ],
+        ids=["nan-coefficient", "infinite-sigma2", "infinite-coefficient"],
+    )
+    def test_non_finite_model(self, tmp_path, capsys, doc):
+        # Python's json reads the NaN and Infinity literals that json.dumps writes
+        path = write_model(tmp_path, doc)
+        assert "NaN" in Path(path).read_text() or "Infinity" in Path(path).read_text()
+        assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("carmahf: invalid model (non_finite)") and len(err.splitlines()) == 1
+
     def test_non_coprime_rejected(self, tmp_path, capsys):
         path = write_model(tmp_path, {"a": [3.0, 2.0], "b": [1.0, 1.0], "sigma2": 1.0})
         assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
@@ -190,6 +207,22 @@ def test_stderr_is_one_line(delta, code, prefix):
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(prefix)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_closes_the_output_file():
+    # enough rows that writes fail before the close; -X dev reports an unclosed file
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "carmahf.cli", "spectrum", CARMA30, "--which", "sampled",
+         "--grid-points", "200001", "--output", "/dev/full"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == cli.EXIT_IO
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("carmahf: cannot write output")
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_coarse_delta_is_exact(capsys):

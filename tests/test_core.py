@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad
 
 import carmahf as chf
-from carmahf import CarmaModel, ModelError, core
-from carmahf.core import ar_roots
+from carmahf import CarmaModel, ModelError, core, poly
 
 from conftest import random_stable_model, residue_acvf, residue_kernel
 
@@ -16,15 +17,13 @@ class TestValidate:
 
     def test_carma20_valid(self, carma20):
         chf.validate(carma20)
-        got = sorted(ar_roots(carma20).real)
+        got = sorted(np.real(carma20.roots))
         assert np.allclose(got, [-2.0, -1.0], atol=1e-10)
 
     def test_common_zeros(self, carma21):
         with pytest.raises(ModelError) as exc:
             chf.validate(carma21)
         assert exc.value.reason == "common_zeros"
-        # skipping the identifiability gate accepts the same model
-        chf.validate(carma21, require_coprime=False)
         # a zero at -1 shared with a triple or higher AR root at -1
         for a, b in (
             ([3.0, 3.0, 1.0], [1.0, 1.0]),
@@ -35,7 +34,6 @@ class TestValidate:
             with pytest.raises(ModelError) as exc:
                 chf.validate(CarmaModel(a, b))
             assert exc.value.reason == "common_zeros"
-            chf.validate(CarmaModel(a, b), require_coprime=False)
 
     def test_distinct_zeros_near_repeated_root(self):
         # -1.003 and a triple -1 are clearly apart, whichever polynomial holds which
@@ -44,21 +42,71 @@ class TestValidate:
             assert chf.validate(m) is m
 
     def test_bad_orders(self):
-        with pytest.raises(ModelError) as exc:
-            chf.validate(CarmaModel([1.0], [0.5, 1.0]))
-        assert exc.value.reason == "bad_orders"
+        for a, b in (([1.0], [0.5, 1.0]), ([], [1.0]), ([1.0], [])):
+            with pytest.raises(ModelError) as exc:
+                CarmaModel(a, b)
+            assert exc.value.reason == "bad_orders"
 
     def test_unstable(self):
         # a root at 1, roots at +-i and a root at 0: the boundary is unstable
         for a in ([-1.0], [0.0, 1.0], [0.0]):
             with pytest.raises(ModelError) as exc:
-                chf.validate(CarmaModel(a, [1.0]))
+                CarmaModel(a, [1.0])
             assert exc.value.reason == "unstable_ar"
 
     def test_nonpositive_sigma2(self):
-        with pytest.raises(ModelError) as exc:
-            chf.validate(CarmaModel([1.0], [1.0], sigma2=0.0))
-        assert exc.value.reason == "nonpositive_sigma2"
+        for sigma2 in (0.0, -1.0, np.nan):
+            with pytest.raises(ModelError) as exc:
+                CarmaModel([1.0], [1.0], sigma2=sigma2)
+            assert exc.value.reason == "nonpositive_sigma2"
+
+    def test_non_finite(self):
+        # checked before the eigensolve, which would reject a NaN with its own error
+        for a, b, sigma2 in (
+            ([np.nan, 1.0], [1.0], 1.0),
+            ([3.0, np.inf], [1.0], 1.0),
+            ([3.0, 2.0], [np.nan, 1.0], 1.0),
+            ([3.0, 2.0], [1.0, np.nan], 1.0),
+            ([1.0], [1.0], np.inf),
+        ):
+            with pytest.raises(ModelError) as exc:
+                CarmaModel(a, b, sigma2)
+            assert exc.value.reason == "non_finite"
+
+    def test_bad_normalization(self):
+        for b in ([0.5, 2.0], [1.0, 0.0]):
+            with pytest.raises(ModelError) as exc:
+                CarmaModel([3.0, 2.0], b)
+            assert exc.value.reason == "bad_normalization"
+
+    def test_roots_stay_out_of_equality(self, carma20):
+        twin = CarmaModel(carma20.a, carma20.b, carma20.sigma2)
+        object.__setattr__(twin, "roots", ())
+        assert twin == carma20 and hash(twin) == hash(carma20)
+        assert "roots" not in repr(carma20)
+        assert isinstance(carma20.roots, tuple)
+
+
+class TestStabilityProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=1, max_size=6).flatmap(
+            lambda a: st.tuples(
+                st.just(a), st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), max_size=len(a) - 1)
+            )
+        )
+    )
+    def test_model_is_stable_or_rejected(self, ab):
+        # every model either holds roots strictly inside the left half plane and a
+        # positive variance, or is refused as unstable at construction
+        a, b = ab
+        try:
+            m = CarmaModel(a, b + [1.0])
+        except ModelError as exc:
+            assert exc.reason == "unstable_ar"
+            return
+        assert all(z.real < -poly.STABILITY_MARGIN for z in m.roots)
+        assert chf.acvf_continuous(m, 0.0) > 0.0
 
 
 class TestCompanion:
@@ -68,10 +116,11 @@ class TestCompanion:
         assert np.allclose(A[:-1, 1:], np.eye(2))
         assert np.allclose(A[:-1, 0], 0.0)
 
-    def test_eigenvalues_match_ar_roots(self, carma30):
-        assert np.allclose(np.sort_complex(ar_roots(carma30)), [-3.0, -2.0, -1.0], atol=1e-12)
+    def test_eigenvalues_match_stored_roots(self, carma30):
+        assert np.allclose(np.sort_complex(carma30.roots), [-3.0, -2.0, -1.0], atol=1e-12)
+        assert np.allclose(np.sort_complex(carma30.roots), np.sort_complex(np.linalg.eigvals(carma30.companion())))
         # a triple root at -1 splits by about eps^(1/3) and stays in the left half plane
-        triple = ar_roots(CarmaModel([3.0, 3.0, 1.0], [1.0]))
+        triple = np.array(CarmaModel([3.0, 3.0, 1.0], [1.0]).roots)
         assert len(triple) == 3 and np.all(triple.real < 0.0)
         assert np.all(np.abs(triple + 1.0) < 1e-4)
 
@@ -295,11 +344,13 @@ class TestMatrixExp:
         assert max_rel_error(chf.acvf_continuous(m, ts), gamma) <= 16 * EPS
 
     def test_non_finite_gives_nan(self):
-        # a NaN coefficient, and a Delta whose block overflows
-        for m, delta in ((CarmaModel([np.nan, 1.0], [1.0]), 0.1), (CarmaModel([3.0, 2.0], [1.0]), 1e200)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                F, Q, _ = core.sampled_state_space(m, delta)
-            assert np.isnan(F).all() and np.isnan(Q).all()
+        # a NaN coefficient is refused at construction; a Delta whose block overflows gives NaN
+        with pytest.raises(ModelError, match="must be finite") as exc:
+            CarmaModel([np.nan, 1.0], [1.0])
+        assert exc.value.reason == "non_finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            F, Q, _ = core.sampled_state_space(CarmaModel([3.0, 2.0], [1.0]), 1e200)
+        assert np.isnan(F).all() and np.isnan(Q).all()
 
     def test_diagonal(self):
         # p = 1: F = e^(-a Delta) and Q = (1 - e^(-2 a Delta)) / (2 a) from the 2 x 2 block

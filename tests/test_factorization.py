@@ -170,7 +170,7 @@ class TestSampledArma:
         assert arma.theta[0] == pytest.approx(-1.0, abs=1e-9)
         assert not chf.sampled_arma(m, 1e-2).boundary
 
-    def test_repeated_ar_roots_supported(self):
+    def test_repeated_roots_supported(self):
         m = CarmaModel([2.0, 1.0], [1.0])
         arma = chf.sampled_arma(m, 0.05)
         cov = chf.acvf_filtered_sequence(m, 0.05)

@@ -27,8 +27,25 @@ class TestCovSequence:
 
 class TestGridChecks:
     def test_nonpositive_delta(self, ou):
-        with pytest.raises(ValueError):
-            chf.filter_coefficients(ou, 0.0)
+        for delta in (0.0, -0.1, np.nan, np.inf):
+            for quantity in (chf.filter_coefficients, lambda m, d: chf.spectral_density_sampled(m, d, 1.0)):
+                with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                    quantity(ou, delta)
+
+    def test_prebuilt_model_is_not_rechecked(self, monkeypatch, carma30):
+        # the roots are solved once, when the model is built: no Delta-grid or
+        # small-Delta quantity builds the companion matrix again
+        calls = []
+        companion = CarmaModel.companion
+        monkeypatch.setattr(CarmaModel, "companion", lambda self: calls.append(1) or companion(self))
+        chf.sampled_arma(carma30, 0.01)
+        chf.filter_coefficients(carma30, 0.01)
+        chf.spectral_density_filtered(carma30, 0.01, [0.5, np.pi])
+        chf.gamma_ma_asymptotic(carma30, 0.01, 1)
+        chf.f_ma_asymptotic(carma30, 0.01, [0.5, np.pi])
+        assert calls == []
+        CarmaModel(carma30.a, carma30.b)
+        assert calls == [1]
 
     def test_coarse_warning(self, carma20):
         # pytest.warns records the warning that the pytest configuration ignores
@@ -221,6 +238,11 @@ class TestAcvfFiltered:
     def test_negative_lag_rejected(self, ou):
         with pytest.raises(ValueError):
             chf.acvf_filtered(ou, 0.1, -1)
+
+    def test_negative_n_max_rejected(self, carma30):
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            chf.acvf_filtered_sequence(carma30, 0.1, n_max=-1)
+        assert chf.acvf_filtered_sequence(carma30, 0.1, n_max=0).values == (chf.acvf_filtered(carma30, 0.1, 0),)
 
 
 class TestNoSharedState:

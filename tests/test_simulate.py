@@ -171,11 +171,6 @@ class TestSimulateGaussianExact:
             emp = np.dot(r.y[: len(r.y) - h], r.y[h:]) / len(r.y)
             assert emp == pytest.approx(chf.acvf_continuous(carma30, h * d), rel=0.05)
 
-    def test_degenerate_sigma2_zero(self):
-        m = CarmaModel([1.0], [1.0], sigma2=0.0)
-        r = chf.simulate_gaussian_exact(m, 0.1, 50, seed=1)
-        assert np.array_equal(r.y, np.zeros(50))
-
     def test_empty_and_negative_length(self, carma30):
         r = chf.simulate_gaussian_exact(carma30, 0.1, 0, seed=1)
         assert r.y.shape == (0,)
