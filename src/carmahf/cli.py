@@ -302,9 +302,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"carmahf: {exc}", file=sys.stderr)
         return exc.code
-    except ModelError as exc:
-        print(f"carmahf: invalid model ({exc.reason}): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     if code == 0:
         for w in caught:
             print(f"carmahf: warning: {w.message}", file=sys.stderr)

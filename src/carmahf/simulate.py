@@ -1,14 +1,15 @@
 """Seeded simulation of CARMA sample paths on a Delta-grid.
 
-Exact Gaussian transitions for the Brownian driver, fine-grid Euler for
-Brownian or compound-Poisson drivers, and the empirical second-order
-estimators used as Monte Carlo oracles.  The exact transitions are the
-Delta-scaled sampled system (F, Q, b) of :func:`core.sampled_state_space`,
-the one every Delta-grid quantity reads.  Both simulators run the state
-recursion through one propagator, a doubling scan of real numpy matmuls
-within fixed blocks, which takes every root multiplicity the same way and
-needs no library beyond numpy.  Models are valid once built, so only Delta
-(:func:`core._check_delta`) and the path length are checked.
+Exact Gaussian transitions for the Brownian driver, Euler for Brownian or
+compound-Poisson drivers, and the empirical second-order estimators used as
+Monte Carlo oracles.  Both simulators run one recursion on the Delta grid from
+a draw of the stationary law, with no burn-in; only the step (F, G) and its
+noise differ.  The exact step is the Delta-scaled sampled system (F, Q, b) of
+:func:`core.sampled_state_space`, the one every Delta-grid quantity reads, and
+Euler's substeps fold exactly into one Delta step.  One propagator, a doubling
+scan of real numpy matmuls within fixed blocks, takes every root multiplicity
+the same way and draws the noise one block at a time.  Models are valid once
+built, so only Delta (:func:`core._check_delta`) and the path length are checked.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -50,8 +51,8 @@ class DriverSpec:
         if self.kind not in ("brownian", "compound_poisson"):
             raise ValueError(f"unknown driver kind {self.kind!r}")
         if self.kind == "compound_poisson":
-            if self.jump_rate <= 0.0:
-                raise ValueError("jump_rate must be positive")
+            if not 0.0 < self.jump_rate < np.inf:
+                raise ValueError(f"jump_rate must be finite and > 0, got {self.jump_rate!r}")
             if self.jump_dist not in ("normal", "two_point"):
                 raise ValueError(f"unknown jump distribution {self.jump_dist!r}")
 
@@ -84,22 +85,24 @@ def _safe_cholesky(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S + jitter)
 
 
-def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, e: np.ndarray, x0: np.ndarray) -> tuple:
+def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, draw, m: int, x0: np.ndarray) -> tuple:
     """y[k] = b_out . x[k] for x[k] = F x[k-1] + G e[k-1] (k = 1..m), x[0] = x0.
 
-    Returns (y[0..m], x[m]).  Within a block of ``_BLOCK`` steps the
-    recursion is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with
-    v[j] = G e[j-1] and the state carried in from the previous block folded
-    into the first v.  A Hillis-Steele doubling scan takes it: step k adds
-    F^k times the partial sum k places back, so ceil(log2(_BLOCK)) real
-    matmuls per block cover every root multiplicity the same way, and the
-    number of passes over a block does not grow with the path length.
+    Returns (y[0..m], x[m]); m = -1 gives an empty y.  ``draw(k)`` returns
+    the next k rows of e, and is called once per block of at most ``_BLOCK``
+    steps, so no array grows with m except y.  Within a block the recursion
+    is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with v[j] =
+    G e[j-1] and the state carried in from the previous block folded into
+    the first v.  A Hillis-Steele doubling scan takes it: step k adds F^k
+    times the partial sum k places back, so ceil(log2(_BLOCK)) real matmuls
+    per block cover every root multiplicity the same way, and the number of
+    passes over a block does not grow with the path length.
     """
-    y = np.empty(len(e) + 1)
-    y[0] = b_out @ x0
+    y = np.empty(m + 1)
+    y[:1] = b_out @ x0
     x = x0
-    for s in range(0, len(e), _BLOCK):
-        v = e[s : s + _BLOCK] @ G.T
+    for s in range(0, m, _BLOCK):
+        v = draw(min(_BLOCK, m - s)) @ G.T
         v[0] += F @ x
         P, k = F, 1
         while k < len(v):  # after this step v[i] = sum_(j > i-2k) F^(i-j) v[j]
@@ -121,8 +124,6 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     an empty path.
     """
     _check_path(delta, n)
-    if n == 0:
-        return SimulationResult(delta=delta, y=np.zeros(0), seed=seed, scheme="exact_gaussian")
     rng = np.random.default_rng(seed)
     p = model.p
     F, Q, b = core.sampled_state_space(model, delta)
@@ -130,19 +131,18 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Lq = _safe_cholesky(model.sigma2 * Q)
     Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
-    e = rng.standard_normal((n - 1, p))
-    y = _propagate(b, F, Lq, e, x0)[0]
+    y = _propagate(b, F, Lq, lambda k: rng.standard_normal((k, p)), n - 1, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
-def _driver_increments(rng, driver: DriverSpec, sigma2: float, dt: float, k: int) -> np.ndarray:
+def _driver_increments(rng, driver: DriverSpec, sigma2: float, dt: float, shape: tuple) -> np.ndarray:
     if driver.kind == "brownian":
-        return np.sqrt(sigma2 * dt) * rng.standard_normal(k)
+        return np.sqrt(sigma2 * dt) * rng.standard_normal(shape)
     rate = driver.jump_rate
-    counts = rng.poisson(rate * dt, size=k)
+    counts = rng.poisson(rate * dt, size=shape)
     if driver.jump_dist == "normal":
         # Var(jump) = sigma2 / rate, so Var(L_1) = rate * Var(jump) = sigma2.
-        return np.sqrt(sigma2 / rate * counts) * rng.standard_normal(k)
+        return np.sqrt(sigma2 / rate * counts) * rng.standard_normal(shape)
     j = np.sqrt(sigma2 / rate)
     return j * (2.0 * rng.binomial(counts, 0.5) - counts)
 
@@ -155,11 +155,14 @@ def simulate_euler(
     driver: DriverSpec,
     seed: int,
 ) -> SimulationResult:
-    """Euler-Maruyama on the state equation at step Delta/substeps.
+    """Euler-Maruyama on the state equation at step dt = Delta/substeps.
 
-    A burn-in of ceil(20 / (Delta * min|Re lambda|)) recorded steps is
-    simulated and discarded before recording starts, so the output is
-    approximately stationary from a zero initial state.
+    The S = substeps steps of F_E = I + A dt within one Delta interval fold
+    exactly into one Delta step, x_(j+1)S = F_E^S x_jS + G_S dl_j, where
+    G_S[:, i] = F_E^(S-1-i) e_p and dl_j holds the interval's S driver
+    increments.  The path starts from chol(sigma2 Sigma) z, a draw of the
+    stationary law, with no burn-in, and the increments are drawn one block
+    of Delta steps at a time.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -167,13 +170,18 @@ def simulate_euler(
     rng = np.random.default_rng(seed)
     p = model.p
     dt = delta / substeps
-    F = np.eye(p) + model.companion() * dt
-    min_re = min(abs(z.real) for z in model.roots)
-    burn = int(np.ceil(20.0 / (delta * min_re)))
-    dl = _driver_increments(rng, driver, model.sigma2, dt, (burn + n) * substeps)
-    y_sub = _propagate(model.b_vector(), F, np.eye(p)[:, -1:], dl[:, None], np.zeros(p))[0]
-    y = y_sub[substeps::substeps][burn : burn + n]
-    return SimulationResult(delta=delta, y=y.copy(), seed=seed, scheme="euler", substeps=substeps)
+    FE = np.eye(p) + model.companion() * dt
+    G = np.empty((p, substeps))
+    G[:, -1] = np.eye(p)[-1]
+    for i in range(substeps - 1, 0, -1):
+        G[:, i - 1] = FE @ G[:, i]
+    x0 = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) @ rng.standard_normal(p)
+
+    def draw(k):
+        return _driver_increments(rng, driver, model.sigma2, dt, (k, substeps))
+
+    y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), G, draw, n - 1, x0)[0]
+    return SimulationResult(delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
 
 
 def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: int) -> CovSequence:
@@ -183,6 +191,8 @@ def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: i
     and attaches Bartlett-formula standard errors appropriate for an MA(p-1)
     sequence.
     """
+    if lags < 0:
+        raise ValueError("lag must be non-negative")
     y = np.asarray(result.y, dtype=float)
     p = model.p
     if len(y) < MIN_LENGTH_PER_ORDER * p:

@@ -23,6 +23,11 @@ class TestDriverSpec:
         with pytest.raises(ValueError):
             DriverSpec(kind="compound_poisson", jump_dist="cauchy")
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_non_finite_jump_rate(self, rate):
+        with pytest.raises(ValueError, match="jump_rate must be finite and > 0"):
+            DriverSpec(kind="compound_poisson", jump_rate=rate)
+
 
 class TestSeeds:
     def test_spawn_deterministic_and_distinct(self):
@@ -96,8 +101,38 @@ def _longdouble_loop(b_out, F, G, e, x0):
     return y, x
 
 
+def _rows(e):
+    """A ``draw`` for ``_propagate`` that hands out the rows of e in order."""
+    end = [0]
+
+    def draw(k):
+        end[0] += k
+        return e[end[0] - k : end[0]].copy()
+
+    return draw
+
+
+def _spy_propagate(monkeypatch):
+    """Wrap ``simulate._propagate`` to record each call's (x0, rows drawn)."""
+    calls = []
+    real = simulate._propagate
+
+    def spy(b_out, F, G, draw, m, x0):
+        rows = []
+        calls.append((x0, rows))
+
+        def recorded(k):
+            rows.append(draw(k))
+            return rows[-1]
+
+        return real(b_out, F, G, recorded, m, x0)
+
+    monkeypatch.setattr(simulate, "_propagate", spy)
+    return calls
+
+
 def _assert_matches_loop(b_out, F, G, e, x0):
-    y, x = simulate._propagate(b_out, F, G, e, x0)
+    y, x = simulate._propagate(b_out, F, G, _rows(e), len(e), x0)
     y_ref, x_ref = _longdouble_loop(b_out, F, G, e, x0)
     assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
     assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
@@ -129,11 +164,26 @@ class TestPropagate:
 
     @pytest.mark.parametrize("a", [[4.0, 6.0, 4.0, 1.0], [0.2, 4.01]])
     def test_euler_transition_matches_longdouble_loop(self, a):
-        # F = I + A dt driven through the last state channel alone, as simulate_euler passes it
+        # the fine Euler step F = I + A dt, driven through the last state channel alone
         m = CarmaModel(a, [0.5, 1.0])
         dt = 1e-3
         e = np.sqrt(dt) * np.random.default_rng(5).standard_normal((20_000, 1))
         _assert_matches_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, np.eye(m.p)[:, -1:], e, np.ones(m.p))
+
+    @pytest.mark.parametrize("a", [[4.0, 6.0, 4.0, 1.0], [0.2, 4.01]])
+    def test_folded_euler_step_matches_fine_grid_loop(self, monkeypatch, a):
+        # simulate_euler's one Delta step F_E^S, G_S against S steps of F_E = I + A dt,
+        # on the same increments and x0, over three blocks
+        monkeypatch.setattr(simulate, "_BLOCK", 500)
+        calls = _spy_propagate(monkeypatch)
+        m = CarmaModel(a, [0.5, 1.0])
+        S, dt = 16, 1e-3
+        y = chf.simulate_euler(m, S * dt, 1_251, substeps=S, driver=DriverSpec(), seed=5).y
+        ((x0, rows),) = calls
+        dl = np.concatenate(rows).reshape(-1, 1)
+        y_ref = _longdouble_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, np.eye(m.p)[:, -1:], dl, x0)[0]
+        assert len(dl) == 1_250 * S
+        assert np.max(np.abs(y - y_ref[::S])) <= 1e-9 * np.max(np.abs(y_ref))
 
     @pytest.mark.parametrize("n", [2**14 - 1, 2**14])
     def test_scan_lengths(self, n):
@@ -150,7 +200,7 @@ class TestPropagate:
 
     def test_single_sample(self, carma30):
         x0 = np.array([0.5, -1.0, 2.0])
-        y, x = simulate._propagate(carma30.b_vector(), np.eye(3), np.eye(3), np.empty((0, 3)), x0)
+        y, x = simulate._propagate(carma30.b_vector(), np.eye(3), np.eye(3), _rows(np.empty((0, 3))), 0, x0)
         assert y == pytest.approx([carma30.b_vector() @ x0], rel=1e-14)
         assert x == pytest.approx(x0, rel=1e-14)
 
@@ -216,6 +266,13 @@ class TestSimulateEuler:
         many = chf.simulate_euler(m, 0.1, 2_000, substeps=4, driver=DriverSpec(), seed=9)
         assert np.max(np.abs(many.y - one.y)) <= 1e-12 * np.max(np.abs(one.y))
 
+    def test_root_near_stability_margin(self):
+        # root -1e-11: a burn-in of 20 / (Delta min|Re lambda|) steps would be 2e13 steps
+        m = CarmaModel([1e-11], [1.0])
+        y = chf.simulate_euler(m, 0.1, 1_000, substeps=4, driver=DriverSpec(), seed=3).y
+        assert y.shape == (1_000,)
+        assert np.all(np.isfinite(y))
+
     def test_substeps_validation(self, ou):
         with pytest.raises(ValueError):
             chf.simulate_euler(ou, 0.1, 100, substeps=0, driver=DriverSpec(), seed=1)
@@ -241,6 +298,22 @@ def test_simulators_reject_bad_delta(carma20, run, delta):
         run(carma20, delta)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m: chf.simulate_gaussian_exact(m, 0.1, 2_500, seed=1),
+        lambda m: chf.simulate_euler(m, 0.1, 2_500, substeps=3, driver=DriverSpec(), seed=1),
+    ],
+    ids=["exact", "euler"],
+)
+def test_simulators_draw_one_block_at_a_time(monkeypatch, carma20, run):
+    monkeypatch.setattr(simulate, "_BLOCK", 1000)
+    calls = _spy_propagate(monkeypatch)
+    run(carma20)
+    ((_, rows),) = calls
+    assert [len(r) for r in rows] == [1000, 1000, 499]
+
+
 class TestEmpiricalFilteredAcvf:
     def test_matches_exact_within_stderr(self, carma20):
         d = 0.1
@@ -258,6 +331,12 @@ class TestEmpiricalFilteredAcvf:
         assert len(emp.values) == 3
         assert len(emp.stderr) == 3
         assert all(s > 0 for s in emp.stderr)
+
+    @pytest.mark.parametrize("lags", [-1, -3])
+    def test_rejects_negative_lags(self, ou, lags):
+        r = chf.simulate_gaussian_exact(ou, 0.1, 1_000, seed=2)
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            chf.empirical_filtered_acvf(r, ou, lags=lags)
 
     def test_series_too_short(self, carma30):
         r = chf.simulate_gaussian_exact(carma30, 0.1, 200, seed=3)
