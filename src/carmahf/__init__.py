@@ -39,7 +39,7 @@ from .factorization import (
     sampled_arma,
     spectral_factorize,
 )
-from .poly import Polynomial, coprime, find_roots, is_stable
+from .poly import coprime, find_roots, is_stable
 from .sampling import (
     CoarseSamplingWarning,
     CovSequence,
@@ -68,7 +68,6 @@ __all__ = [
     "DriverSpec",
     "FactorizationError",
     "ModelError",
-    "Polynomial",
     "SampledArma",
     "SimulationResult",
     "acvf_continuous",

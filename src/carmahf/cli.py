@@ -37,7 +37,7 @@ class CliError(Exception):
 def load_model(path: str) -> CarmaModel:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read model file {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -50,13 +50,17 @@ def load_model(path: str) -> CarmaModel:
     missing = {"a", "b", "sigma2"} - set(doc)
     if missing:
         raise CliError(EXIT_VALIDATION, f"missing model keys: {sorted(missing)}")
+    # every JSON number, and nothing else, reads as a float (too large an integer as inf)
+    for key in ("a", "b"):
+        if not (isinstance(doc[key], list) and all(isinstance(x, float) for x in doc[key])):
+            raise CliError(EXIT_VALIDATION, f"invalid model: {key} must be a JSON array of numbers, got {doc[key]!r}")
+    if not isinstance(doc["sigma2"], float):
+        raise CliError(EXIT_VALIDATION, f"invalid model: sigma2 must be a JSON number, got {doc['sigma2']!r}")
     try:
         model = CarmaModel(doc["a"], doc["b"], doc["sigma2"], doc.get("label"))
         core.validate(model)
     except ModelError as exc:
         raise CliError(EXIT_VALIDATION, f"invalid model ({exc.reason}): {exc}")
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid model: {exc}")
     return model
 
 
@@ -167,13 +171,9 @@ def cmd_sampled_arma(args) -> int:
         residual = factorization.reconstruction_residual(arma, cov)
     except FactorizationError as exc:
         raise CliError(EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}")
-    rows = []
-    for k, c in enumerate(arma.phi):
-        rows.append(["phi", k, repr(float(c))])
-    for k, c in enumerate(arma.theta, start=1):
-        rows.append(["theta", k, repr(float(c))])
-    rows.append(["tau2", "", repr(float(arma.tau2))])
-    rows.append(["reconstruction_residual", "", repr(residual)])
+    rows = [["phi", k, repr(float(c))] for k, c in enumerate(arma.phi)]
+    rows += [["theta", k, repr(float(c))] for k, c in enumerate(arma.theta, start=1)]
+    rows += [["tau2", "", repr(float(arma.tau2))], ["reconstruction_residual", "", repr(residual)]]
     meta = {"model": _model_echo(model), "delta": args.delta}
     _emit(args, meta, ["quantity", "index", "value"], rows)
     return 0

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly
-from .poly import Polynomial
 
 
 class ModelError(ValueError):
@@ -80,12 +79,6 @@ class CarmaModel:
     def q(self) -> int:
         return len(self.b) - 1
 
-    def ar_polynomial(self) -> Polynomial:
-        return Polynomial(list(self.a[::-1]) + [1.0])
-
-    def ma_polynomial(self) -> Polynomial:
-        return Polynomial(self.b)
-
     def companion(self) -> np.ndarray:
         """The p x p companion matrix whose eigenvalues are the AR roots."""
         p = self.p
@@ -109,7 +102,7 @@ def validate(model: CarmaModel) -> CarmaModel:
     quantities need no coprimality (a shared zero makes the state space
     non-minimal), so no library routine calls this.
     """
-    if not poly.coprime(model.ar_polynomial(), model.ma_polynomial()):
+    if not poly.coprime((*model.a[::-1], 1.0), model.b):
         raise ModelError("common_zeros", "AR and MA polynomials share a zero")
     return model
 
@@ -231,8 +224,8 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     """f_Y(omega) = sigma2/(2 pi) * |b(i omega)|^2 / |a(i omega)|^2."""
     w = np.asarray(omega, dtype=float)
     iw = 1j * w
-    num = np.abs(model.ma_polynomial().eval(iw)) ** 2
-    den = np.abs(model.ar_polynomial().eval(iw)) ** 2
+    num = np.abs(np.polyval(model.b[::-1], iw)) ** 2
+    den = np.abs(np.polyval((1.0, *model.a), iw)) ** 2
     out = model.sigma2 / (2.0 * np.pi) * num / den
     if w.ndim == 0:
         return float(out)

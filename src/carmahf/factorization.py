@@ -126,7 +126,7 @@ def _w_polynomial(gamma: list) -> list:
 def _theta(s: list) -> tuple[np.ndarray | None, bool]:
     """theta from the roots of S(w), or None when it is not real; and the boundary flag."""
     r = []
-    for w in poly.find_roots(poly.Polynomial(s)).tolist():
+    for w in poly.find_roots(s).tolist():
         root = cmath.sqrt((w - 2.0) * (w + 2.0))
         r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
     c = _unit_product(r)

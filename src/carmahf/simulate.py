@@ -8,8 +8,9 @@ noise differ.  The exact step is the Delta-scaled sampled system (F, Q, b) of
 :func:`core.sampled_state_space`, the one every Delta-grid quantity reads, and
 Euler's substeps fold exactly into one Delta step.  One propagator, a doubling
 scan of real numpy matmuls within fixed blocks, takes every root multiplicity
-the same way and draws the noise one block at a time.  Models are valid once
-built, so only Delta (:func:`core._check_delta`) and the path length are checked.
+the same way and draws the noise one block at a time, in state coordinates: no
+array but the path grows with its length or with Euler's substeps.  Models are
+valid once built; only Delta (:func:`core._check_delta`) and n are checked.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -85,24 +86,24 @@ def _safe_cholesky(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S + jitter)
 
 
-def _propagate(b_out: np.ndarray, F: np.ndarray, G: np.ndarray, draw, m: int, x0: np.ndarray) -> tuple:
-    """y[k] = b_out . x[k] for x[k] = F x[k-1] + G e[k-1] (k = 1..m), x[0] = x0.
+def _propagate(b_out: np.ndarray, F: np.ndarray, draw, m: int, x0: np.ndarray) -> tuple:
+    """y[k] = b_out . x[k] for x[k] = F x[k-1] + v[k-1] (k = 1..m), x[0] = x0.
 
     Returns (y[0..m], x[m]); m = -1 gives an empty y.  ``draw(k)`` returns
-    the next k rows of e, and is called once per block of at most ``_BLOCK``
-    steps, so no array grows with m except y.  Within a block the recursion
-    is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with v[j] =
-    G e[j-1] and the state carried in from the previous block folded into
-    the first v.  A Hillis-Steele doubling scan takes it: step k adds F^k
-    times the partial sum k places back, so ceil(log2(_BLOCK)) real matmuls
-    per block cover every root multiplicity the same way, and the number of
-    passes over a block does not grow with the path length.
+    the next k rows of v as a fresh array, and is called once per block of at
+    most ``_BLOCK`` steps, so no array grows with m except y.  Within a block
+    the recursion is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with
+    the state carried in from the previous block folded into the first v.  A
+    Hillis-Steele doubling scan takes it: step k adds F^k times the partial
+    sum k places back, so ceil(log2(_BLOCK)) real matmuls per block cover
+    every root multiplicity the same way, and the number of passes over a
+    block does not grow with the path length.
     """
     y = np.empty(m + 1)
     y[:1] = b_out @ x0
     x = x0
     for s in range(0, m, _BLOCK):
-        v = draw(min(_BLOCK, m - s)) @ G.T
+        v = draw(min(_BLOCK, m - s))
         v[0] += F @ x
         P, k = F, 1
         while k < len(v):  # after this step v[i] = sum_(j > i-2k) F^(i-j) v[j]
@@ -131,7 +132,7 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Lq = _safe_cholesky(model.sigma2 * Q)
     Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
-    y = _propagate(b, F, Lq, lambda k: rng.standard_normal((k, p)), n - 1, x0)[0]
+    y = _propagate(b, F, lambda k: rng.standard_normal((k, p)) @ Lq.T, n - 1, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
@@ -161,8 +162,9 @@ def simulate_euler(
     exactly into one Delta step, x_(j+1)S = F_E^S x_jS + G_S dl_j, where
     G_S[:, i] = F_E^(S-1-i) e_p and dl_j holds the interval's S driver
     increments.  The path starts from chol(sigma2 Sigma) z, a draw of the
-    stationary law, with no burn-in, and the increments are drawn one block
-    of Delta steps at a time.
+    stationary law, with no burn-in.  The increments are drawn and folded by
+    G_S in slices of max(1, _BLOCK // substeps) Delta steps, so memory does
+    not grow with substeps.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -177,10 +179,15 @@ def simulate_euler(
         G[:, i - 1] = FE @ G[:, i]
     x0 = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) @ rng.standard_normal(p)
 
+    rows = max(1, _BLOCK // substeps)  # Delta steps per slice: about _BLOCK increments
     def draw(k):
-        return _driver_increments(rng, driver, model.sigma2, dt, (k, substeps))
+        v = np.empty((k, p))
+        for i in range(0, k, rows):
+            dl = _driver_increments(rng, driver, model.sigma2, dt, (min(rows, k - i), substeps))
+            v[i : i + len(dl)] = dl @ G.T
+        return v
 
-    y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), G, draw, n - 1, x0)[0]
+    y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), draw, n - 1, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
 
 

@@ -1,7 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp
 
+import carmahf
 from carmahf import CarmaModel
 
 
@@ -25,6 +29,13 @@ def carma21():
 @pytest.fixture
 def carma30():
     return CarmaModel([6.0, 11.0, 6.0], [1.0])  # roots -1, -2, -3
+
+
+def child_env():
+    """The environment of a child that imports the same package as this process,
+    also when pytest put it on sys.path rather than PYTHONPATH."""
+    src = str(Path(carmahf.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def corpus():

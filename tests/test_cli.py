@@ -10,6 +10,8 @@ import pytest
 
 from carmahf import cli
 
+from conftest import child_env
+
 
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
@@ -62,6 +64,21 @@ class TestModelLoading:
         path = write_model(tmp_path, {"a": [-1.0], "b": [1.0], "sigma2": 1.0})
         assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
         assert "unstable_ar" in capsys.readouterr().err
+        # only JSON arrays of numbers and a JSON number: a string is not read per
+        # character, nor true as 1.0
+        for doc, key in [
+            ({"a": "32", "b": [1.0], "sigma2": 1.0}, "a"),
+            ({"a": [3.0, 2.0], "b": "1", "sigma2": 1.0}, "b"),
+            ({"a": [3.0, 2.0], "b": [1.0], "sigma2": True}, "sigma2"),
+            ({"a": [3.0, 2.0], "b": [1.0], "sigma2": "1e0"}, "sigma2"),
+            ({"a": [3.0, True], "b": [1.0], "sigma2": 1.0}, "a"),
+            ({"a": [3.0, 2.0], "b": [None], "sigma2": 1.0}, "b"),
+            ({"a": "32", "b": "1", "sigma2": True}, "a"),
+        ]:
+            path = write_model(tmp_path, doc)
+            assert run_cli(["sampled-arma", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith(f"carmahf: invalid model: {key} must be a JSON ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "doc",
@@ -202,7 +219,7 @@ def test_stderr_is_one_line(delta, code, prefix):
         [sys.executable, "-m", "carmahf.cli", "acvf", CARMA30, "--delta", delta, "--lags", "2", "--no-timestamp"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1
@@ -217,7 +234,7 @@ def test_failed_write_closes_the_output_file():
          "--grid-points", "200001", "--output", "/dev/full"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == cli.EXIT_IO
     assert len(proc.stderr.splitlines()) == 1
@@ -282,19 +299,12 @@ def test_bad_numeric_argument_rejected(model_file, capsys, args, message):
     assert len(err.strip().splitlines()) == 1
 
 
-def _child_env():
-    """The environment of a child that imports the same package as this process,
-    also when pytest put it on sys.path rather than PYTHONPATH."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=_child_env())
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
@@ -305,7 +315,7 @@ class TestEntryPoint:
              "--no-timestamp"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "lag,gamma,mode" in proc.stdout
@@ -329,7 +339,7 @@ class TestEntryPoint:
             [sys.executable, "-c", code, os.devnull],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "0 []"]

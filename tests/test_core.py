@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ import carmahf as chf
 from carmahf import CarmaModel, ModelError, core, poly
 
 from conftest import random_stable_model, residue_acvf, residue_kernel
+
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 
 class TestValidate:
@@ -231,6 +236,25 @@ class TestSpectralDensityContinuous:
         tail = chf.spectral_density_continuous(carma20, omega_max) * omega_max / 3.0
         total = 2.0 * (val + tail)
         assert total == pytest.approx(chf.acvf_continuous(carma20, 0.0), rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["car1", "carma20", "carma21", "carma30"])
+    def test_bit_identical_to_float_horner(self, name):
+        doc = json.loads((DEMO_MODELS / f"{name}.json").read_text())
+        m = CarmaModel(doc["a"], doc["b"], doc["sigma2"])
+        w = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 60)])
+        w = np.concatenate([-w[::-1], w])
+
+        def horner(coeffs, z):  # descending coefficients, on Python complex scalars
+            out = complex(coeffs[0])
+            for c in coeffs[1:]:
+                out = out * z + c
+            return out
+
+        # the polynomials by Horner in Python; |.|^2 and the ratio as the library takes them
+        num = np.abs([horner(m.b[::-1], 1j * x) for x in w.tolist()]) ** 2
+        den = np.abs([horner((1.0, *m.a), 1j * x) for x in w.tolist()]) ** 2
+        want = m.sigma2 / (2.0 * np.pi) * num / den
+        assert chf.spectral_density_continuous(m, w).tobytes() == want.tobytes()
 
 
 EPS = np.finfo(float).eps

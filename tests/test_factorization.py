@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, FactorizationError, core
+from carmahf import CarmaModel, FactorizationError, core, poly
 from carmahf.factorization import _unit_product, _w_polynomial, innovations_check, reconstruct_acvf
 
 from conftest import corpus, random_stable_model
@@ -152,6 +152,20 @@ class TestSampledArma:
         assert arma.tau2 / (carma20.sigma2 * 0.001**3) == pytest.approx(
             lim.tau2_scale, rel=0.01
         )
+
+    def test_roots_come_from_the_poly_module(self, monkeypatch, carma20):
+        # the benchmark's tracer counts poly.find_roots calls by wrapping the module attribute
+        calls = []
+        real = poly.find_roots
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
+
+        want = chf.sampled_arma(carma20, 0.1)
+        monkeypatch.setattr(poly, "find_roots", counted)
+        assert chf.sampled_arma(carma20, 0.1) == want
+        assert len(calls) == 1
 
     def test_reconstruction_residual(self):
         for m in corpus():

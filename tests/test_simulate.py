@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ import carmahf as chf
 from carmahf import CarmaModel, DriverSpec, core, simulate
 from carmahf.simulate import spawn_seeds
 
-from conftest import corpus
+from conftest import child_env, corpus
 
 
 class TestDriverSpec:
@@ -89,25 +93,24 @@ class TestTransitionNoiseCovariance:
         assert np.allclose(S, F @ S @ F.T + Q, atol=1e-12)
 
 
-def _longdouble_loop(b_out, F, G, e, x0):
+def _longdouble_loop(b_out, F, v, x0):
     """The state recursion of ``_propagate`` in extended precision, step by step."""
-    F, G, x, b_out = (np.asarray(v, dtype=np.longdouble) for v in (F, G, x0, b_out))
-    eps = np.asarray(e, dtype=np.longdouble) @ G.T
-    y = np.empty(len(e) + 1, dtype=np.longdouble)
+    F, v, x, b_out = (np.asarray(u, dtype=np.longdouble) for u in (F, v, x0, b_out))
+    y = np.empty(len(v) + 1, dtype=np.longdouble)
     y[0] = b_out @ x
-    for k in range(len(e)):
-        x = F @ x + eps[k]
+    for k in range(len(v)):
+        x = F @ x + v[k]
         y[k + 1] = b_out @ x
     return y, x
 
 
-def _rows(e):
-    """A ``draw`` for ``_propagate`` that hands out the rows of e in order."""
+def _rows(v):
+    """A ``draw`` for ``_propagate`` that hands out the rows of v in order."""
     end = [0]
 
     def draw(k):
         end[0] += k
-        return e[end[0] - k : end[0]].copy()
+        return v[end[0] - k : end[0]].copy()
 
     return draw
 
@@ -117,7 +120,7 @@ def _spy_propagate(monkeypatch):
     calls = []
     real = simulate._propagate
 
-    def spy(b_out, F, G, draw, m, x0):
+    def spy(b_out, F, draw, m, x0):
         rows = []
         calls.append((x0, rows))
 
@@ -125,25 +128,25 @@ def _spy_propagate(monkeypatch):
             rows.append(draw(k))
             return rows[-1]
 
-        return real(b_out, F, G, recorded, m, x0)
+        return real(b_out, F, recorded, m, x0)
 
     monkeypatch.setattr(simulate, "_propagate", spy)
     return calls
 
 
-def _assert_matches_loop(b_out, F, G, e, x0):
-    y, x = simulate._propagate(b_out, F, G, _rows(e), len(e), x0)
-    y_ref, x_ref = _longdouble_loop(b_out, F, G, e, x0)
+def _assert_matches_loop(b_out, F, v, x0):
+    y, x = simulate._propagate(b_out, F, _rows(v), len(v), x0)
+    y_ref, x_ref = _longdouble_loop(b_out, F, v, x0)
     assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
     assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
 
 
 def _exact_transition(m, delta, n, rng):
-    """(b, F, G, e, x0), Delta-scaled, as simulate_gaussian_exact passes them, per unit sigma2."""
+    """(b, F, v, x0), Delta-scaled, as simulate_gaussian_exact passes them, per unit sigma2."""
     F, Q, b = core.sampled_state_space(m, delta)
     Ls = np.linalg.cholesky(chf.stationary_state_covariance(m)) / _scale(m, delta)[:, None]
     x0 = Ls @ rng.standard_normal(m.p)
-    return b, F, np.linalg.cholesky(Q), rng.standard_normal((n, m.p)), x0
+    return b, F, rng.standard_normal((n, m.p)) @ np.linalg.cholesky(Q).T, x0
 
 
 class TestPropagate:
@@ -167,22 +170,27 @@ class TestPropagate:
         # the fine Euler step F = I + A dt, driven through the last state channel alone
         m = CarmaModel(a, [0.5, 1.0])
         dt = 1e-3
-        e = np.sqrt(dt) * np.random.default_rng(5).standard_normal((20_000, 1))
-        _assert_matches_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, np.eye(m.p)[:, -1:], e, np.ones(m.p))
+        v = np.zeros((20_000, m.p))
+        v[:, -1] = np.sqrt(dt) * np.random.default_rng(5).standard_normal(20_000)
+        _assert_matches_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, v, np.ones(m.p))
 
     @pytest.mark.parametrize("a", [[4.0, 6.0, 4.0, 1.0], [0.2, 4.01]])
     def test_folded_euler_step_matches_fine_grid_loop(self, monkeypatch, a):
         # simulate_euler's one Delta step F_E^S, G_S against S steps of F_E = I + A dt,
-        # on the same increments and x0, over three blocks
+        # on the same increments and x0, over three blocks of many slices each
         monkeypatch.setattr(simulate, "_BLOCK", 500)
         calls = _spy_propagate(monkeypatch)
         m = CarmaModel(a, [0.5, 1.0])
         S, dt = 16, 1e-3
         y = chf.simulate_euler(m, S * dt, 1_251, substeps=S, driver=DriverSpec(), seed=5).y
         ((x0, rows),) = calls
-        dl = np.concatenate(rows).reshape(-1, 1)
-        y_ref = _longdouble_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, np.eye(m.p)[:, -1:], dl, x0)[0]
-        assert len(dl) == 1_250 * S
+        assert len(np.concatenate(rows)) == 1_250
+        # the increments again: the stream after x0's p normals, in the order the slices drew it
+        rng = np.random.default_rng(5)
+        rng.standard_normal(m.p)
+        dl = np.zeros((1_250 * S, m.p))
+        dl[:, -1] = np.sqrt(dt) * rng.standard_normal(1_250 * S)
+        y_ref = _longdouble_loop(m.b_vector(), np.eye(m.p) + m.companion() * dt, dl, x0)[0]
         assert np.max(np.abs(y - y_ref[::S])) <= 1e-9 * np.max(np.abs(y_ref))
 
     @pytest.mark.parametrize("n", [2**14 - 1, 2**14])
@@ -200,7 +208,7 @@ class TestPropagate:
 
     def test_single_sample(self, carma30):
         x0 = np.array([0.5, -1.0, 2.0])
-        y, x = simulate._propagate(carma30.b_vector(), np.eye(3), np.eye(3), _rows(np.empty((0, 3))), 0, x0)
+        y, x = simulate._propagate(carma30.b_vector(), np.eye(3), _rows(np.empty((0, 3))), 0, x0)
         assert y == pytest.approx([carma30.b_vector() @ x0], rel=1e-14)
         assert x == pytest.approx(x0, rel=1e-14)
 
@@ -282,6 +290,22 @@ class TestSimulateEuler:
         assert r.y.shape == (0,)
         with pytest.raises(ValueError, match="path length n must be >= 0"):
             chf.simulate_euler(ou, 0.1, -1, substeps=2, driver=DriverSpec(), seed=1)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_euler_memory_does_not_grow_with_substeps():
+    # one (20000, 1024) block of increments alone would be 164 MB; slices of
+    # _BLOCK // substeps Delta steps keep the child near its import floor.
+    # VmHWM is the peak of the child's own image: ru_maxrss would count the
+    # parent's pages that the child held between fork and exec.
+    code = (
+        "import re, carmahf as chf\n"
+        "chf.simulate_euler(chf.CarmaModel([1.0], [1.0]), 0.1, 20_000, 1024, chf.DriverSpec(), 1)\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) / 1024 < 60.0
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
