@@ -75,7 +75,7 @@ def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | floa
         * 2.0 ** (model.p - 1)
         * (1.0 - np.cos(w)) ** model.p
     )
-    return float(out) if w.ndim == 0 else out
+    return core._like(w, out)
 
 
 def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
@@ -146,4 +146,4 @@ def differenced_spectrum_asymptotic(model: CarmaModel, delta: float, omega) -> n
     (2 - 2 cos omega)^q.
     """
     out = f_ma_asymptotic(model, delta, omega) / (2.0 - 2.0 * np.cos(omega)) ** model.q
-    return out if np.ndim(omega) else float(out)
+    return core._like(omega, out)

@@ -35,13 +35,8 @@ class CliError(Exception):
 
 
 def load_model(path: str) -> CarmaModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_int=float)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read model file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_IO, f"model file {path} is not valid JSON: {exc}")
+    with open(path) as fh:
+        doc = json.load(fh, parse_int=float)
     if not isinstance(doc, dict):
         raise CliError(EXIT_VALIDATION, "model file must contain a JSON object")
     unknown = set(doc) - _MODEL_KEYS
@@ -56,11 +51,8 @@ def load_model(path: str) -> CarmaModel:
             raise CliError(EXIT_VALIDATION, f"invalid model: {key} must be a JSON array of numbers, got {doc[key]!r}")
     if not isinstance(doc["sigma2"], float):
         raise CliError(EXIT_VALIDATION, f"invalid model: sigma2 must be a JSON number, got {doc['sigma2']!r}")
-    try:
-        model = CarmaModel(doc["a"], doc["b"], doc["sigma2"], doc.get("label"))
-        core.validate(model)
-    except ModelError as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid model ({exc.reason}): {exc}")
+    model = CarmaModel(doc["a"], doc["b"], doc["sigma2"], doc.get("label"))
+    core.validate(model)
     return model
 
 
@@ -84,7 +76,6 @@ def _model_echo(model: CarmaModel) -> dict:
 
 
 def _emit(args, meta: dict, columns: list, rows: list) -> None:
-    meta = dict(meta)
     meta["version"] = __version__
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -98,17 +89,12 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
                 # as leading comment lines.
                 for key, val in meta.items():
                     out.write(f"# {key}: {json.dumps(val)}\n")
-                writer = csv.writer(out)
-                writer.writerow(columns)
-                for row in rows:
-                    writer.writerow(row)
+                csv.writer(out).writerows([columns, *rows])
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write output: {exc}")
 
 
-def cmd_acvf(args) -> int:
-    model = load_model(args.model)
-    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+def cmd_acvf(args, model: CarmaModel) -> tuple:
     _require(args.lags >= 0, "--lags must be >= 0")
     if args.mode == "exact":
         vals = sampling.acvf_filtered_sequence(model, args.delta, args.lags).values
@@ -116,9 +102,7 @@ def cmd_acvf(args) -> int:
         vals = [asymptotics.gamma_ma_asymptotic(model, args.delta, lag) for lag in range(args.lags + 1)]
     _require_finite(vals, "the autocovariance", args.delta)
     rows = [[lag, repr(float(val)), args.mode] for lag, val in enumerate(vals)]
-    meta = {"model": _model_echo(model), "delta": args.delta, "mode": args.mode}
-    _emit(args, meta, ["lag", "gamma", "mode"], rows)
-    return 0
+    return {"delta": args.delta, "mode": args.mode}, ["lag", "gamma", "mode"], rows
 
 
 def _auto_omega_max(model: CarmaModel) -> float:
@@ -133,10 +117,8 @@ def _auto_omega_max(model: CarmaModel) -> float:
     return omega
 
 
-def cmd_spectrum(args) -> int:
-    model = load_model(args.model)
+def cmd_spectrum(args, model: CarmaModel) -> tuple:
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
-    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
     _require(0 <= args.omega_max < np.inf, "--omega-max must be finite and >= 0")
     mask = slice(None)  # the values that must be finite
     if args.which == "continuous":
@@ -157,26 +139,16 @@ def cmd_spectrum(args) -> int:
                 vals[mask] = np.atleast_1d(asymptotics.f_ma_asymptotic(model, args.delta, grid[mask]))
     _require_finite(vals[mask], "the spectral density", args.delta)
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
-    meta = {"model": _model_echo(model), "delta": args.delta, "which": args.which}
-    _emit(args, meta, ["omega", "f"], rows)
-    return 0
+    return {"delta": args.delta, "which": args.which}, ["omega", "f"], rows
 
 
-def cmd_sampled_arma(args) -> int:
-    model = load_model(args.model)
-    _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
-    try:
-        arma = factorization.sampled_arma(model, args.delta)
-        cov = sampling.acvf_filtered_sequence(model, args.delta)
-        residual = factorization.reconstruction_residual(arma, cov)
-    except FactorizationError as exc:
-        raise CliError(EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}")
+def cmd_sampled_arma(args, model: CarmaModel) -> tuple:
+    arma = factorization.sampled_arma(model, args.delta)
+    residual = factorization.reconstruction_residual(arma, sampling.acvf_filtered_sequence(model, args.delta))
     rows = [["phi", k, repr(float(c))] for k, c in enumerate(arma.phi)]
     rows += [["theta", k, repr(float(c))] for k, c in enumerate(arma.theta, start=1)]
     rows += [["tau2", "", repr(float(arma.tau2))], ["reconstruction_residual", "", repr(residual)]]
-    meta = {"model": _model_echo(model), "delta": args.delta}
-    _emit(args, meta, ["quantity", "index", "value"], rows)
-    return 0
+    return {"delta": args.delta}, ["quantity", "index", "value"], rows
 
 
 def _parse_sweep(text: str) -> list:
@@ -215,8 +187,7 @@ def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
     return rows, gamma
 
 
-def cmd_validate(args) -> int:
-    model = load_model(args.model)
+def cmd_validate(args, model: CarmaModel) -> tuple:
     deltas = _parse_sweep(args.delta_sweep)
     _require(args.seed >= 0, "--seed must be >= 0")
     _require(args.paths >= 1, "--paths must be >= 1")
@@ -239,15 +210,8 @@ def cmd_validate(args) -> int:
         rows.append([f"mc_acvf_lag{lag}", d0, repr(float(dev)), "<= 4 SE", status])
 
     rows.sort(key=lambda r: (float(r[1]), r[0]))
-    meta = {
-        "model": _model_echo(model),
-        "delta_sweep": deltas,
-        "seed": args.seed,
-        "paths": args.paths,
-        "length": args.length,
-    }
-    _emit(args, meta, ["check", "delta", "measured", "tolerance", "status"], rows)
-    return 0 if all(r[4] in ("PASS", "WARN") for r in rows) else EXIT_NUMERIC
+    meta = {"delta_sweep": deltas, "seed": args.seed, "paths": args.paths, "length": args.length}
+    return meta, ["check", "delta", "measured", "tolerance", "status"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,18 +257,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the model, check --delta, run one ``cmd_*`` for its rows, emit; map typed errors to exit codes."""
     args = build_parser().parse_args(argv)
     # _require_finite turns every non-finite result into exit 3, so numpy's
     # float warnings are noise; the others print one line each after a success.
     try:
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
-            code = args.func(args)
+            model = load_model(args.model)
+            if "delta" in args:
+                _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+            meta, columns, rows = args.func(args, model)
+            _emit(args, {"model": _model_echo(model), **meta}, columns, rows)
     except CliError as exc:
-        print(f"carmahf: {exc}", file=sys.stderr)
-        return exc.code
-    if code == 0:
+        code, message = exc.code, str(exc)
+    except OSError as exc:  # _emit maps its own, so this is load_model's read
+        code, message = EXIT_IO, f"cannot read model file {args.model}: {exc}"
+    except json.JSONDecodeError as exc:
+        code, message = EXIT_IO, f"model file {args.model} is not valid JSON: {exc}"
+    except ModelError as exc:
+        code, message = EXIT_VALIDATION, f"invalid model ({exc.reason}): {exc}"
+    except FactorizationError as exc:
+        code, message = EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}"
+    else:
+        if columns[-1] == "status" and any(r[-1] == "FAIL" for r in rows):  # a failed validate check
+            return EXIT_NUMERIC
         for w in caught:
             print(f"carmahf: warning: {w.message}", file=sys.stderr)
+        return 0
+    print(f"carmahf: {message}", file=sys.stderr)
     return code
 
 

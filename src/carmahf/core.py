@@ -113,6 +113,11 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
+def _like(x, out) -> np.ndarray | float:
+    """The one scalar rule: a float for a 0-d ``x`` (``out`` then holds one value), else ``out``."""
+    return out.item() if np.ndim(x) == 0 else out
+
+
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x, b_j ~ (26-j)! / (j! (13-j)!).
 _PADE13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
 #: Largest 1-norm of a Van Loan block exponentiated whole.  Below theta_13 = 4.25 the [13/13]
@@ -202,9 +207,7 @@ def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     out = np.full(h_arr.shape, sb @ b)
     lag = h_arr != 0.0
     out[lag] = _b_exp(model, h_arr[lag]) @ sb
-    if np.isscalar(h) or np.asarray(h).ndim == 0:
-        return float(out[0])
-    return out
+    return _like(h, out)
 
 
 def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
@@ -226,10 +229,7 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     iw = 1j * w
     num = np.abs(np.polyval(model.b[::-1], iw)) ** 2
     den = np.abs(np.polyval((1.0, *model.a), iw)) ** 2
-    out = model.sigma2 / (2.0 * np.pi) * num / den
-    if w.ndim == 0:
-        return float(out)
-    return out
+    return _like(w, model.sigma2 / (2.0 * np.pi) * num / den)
 
 
 def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:

@@ -5,7 +5,7 @@ polynomial theta(B) and innovation variance tau^2 of the ARMA representation
 of the sampled process.  The covariance generating polynomial is palindromic,
 so it is factored in w = z + 1/z, where each reciprocal root pair (r, 1/r) is
 one root w = r + 1/r; theta takes the member with |r| >= 1 of each.  The
-innovations recursion is kept as an independent verification oracle.
+innovations recursion checks it, slowly when theta nears the unit circle.
 """
 
 from __future__ import annotations
@@ -86,12 +86,10 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     while m > 0 and gamma[m] == 0.0:
         m -= 1
     gamma = gamma[: m + 1]
-    k = np.arange(m + 1)
-    if np.linalg.eigvalsh(gamma[abs(k[:, None] - k)]).min() < -1e-10 * gamma[0]:
-        raise FactorizationError("not_psd", "covariance Toeplitz matrix is not PSD")
     if m == 0:
         return np.zeros(0), float(gamma[0]), False
 
+    # The one PSD rule: a spectrum negative beyond rounding leaves theta not real.
     s = _w_polynomial(gamma.tolist())
     theta, boundary = _theta(s)
     if theta is None:
@@ -147,8 +145,12 @@ def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:
     """Independent check of a factorization via the innovations recursion.
 
     Runs the innovations algorithm on the MA(m) covariance sequence and
-    returns the maximum deviation of the converged one-step predictor
-    coefficients and variance from (theta, tau2).
+    returns the maximum deviation of the one-step predictor coefficients and
+    variance after ``steps`` steps from (theta, tau2).  It converges slowly
+    when theta has a root near the unit circle, as for q >= 1 at small Delta:
+    at Delta = 1e-3 it reports 3.6e-3 for a = (3, 2), b = (1.5, 1) and 1.7e-2
+    for a = (6, 11, 6), b = (2, 3, 1), whose factorizations rebuild gamma_MA
+    to 3e-16.  For q = 0 it reports <= 2e-16.
     """
     gamma = np.asarray(getattr(cov, "values", cov), dtype=float)
     m = len(gamma) - 1

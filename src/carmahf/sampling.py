@@ -115,29 +115,24 @@ def _f_delta(model: CarmaModel, shifted: np.ndarray, Q: np.ndarray, b: np.ndarra
     return model.sigma2 / (2.0 * np.pi) * np.real(np.einsum("ni,ij,nj->n", u.conj(), Q, u))
 
 
-def _like(omega, out: np.ndarray) -> np.ndarray | float:
-    """A float for a scalar omega, else the array over the grid."""
-    return float(out[0]) if np.ndim(omega) == 0 else out
-
-
 def power_transfer(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
     """Power transfer function psi(omega) = |phi(e^(i omega))|^2 of the filter.
 
     Evaluated as |det(e^(-i omega) I - F^T)|^2, since phi is the
     characteristic polynomial of F.
     """
-    return _like(omega, np.abs(np.linalg.det(_shifted(model, delta, omega)[0])) ** 2)
+    return core._like(omega, np.abs(np.linalg.det(_shifted(model, delta, omega)[0])) ** 2)
 
 
 def spectral_density_sampled(model: CarmaModel, delta: float, omega):
     """Spectral density f_Delta of the sampled sequence on [-pi, pi]."""
-    return _like(omega, _f_delta(model, *_shifted(model, delta, omega)))
+    return core._like(omega, _f_delta(model, *_shifted(model, delta, omega)))
 
 
 def spectral_density_filtered(model: CarmaModel, delta: float, omega):
     """Spectral density f_MA = psi * f_Delta of the filtered sequence."""
     shifted, Q, b = _shifted(model, delta, omega)
-    return _like(omega, np.abs(np.linalg.det(shifted)) ** 2 * _f_delta(model, shifted, Q, b))
+    return core._like(omega, np.abs(np.linalg.det(shifted)) ** 2 * _f_delta(model, shifted, Q, b))
 
 
 def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:

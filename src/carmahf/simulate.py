@@ -164,7 +164,7 @@ def simulate_euler(
     increments.  The path starts from chol(sigma2 Sigma) z, a draw of the
     stationary law, with no burn-in.  The increments are drawn and folded by
     G_S in slices of max(1, _BLOCK // substeps) Delta steps, so memory does
-    not grow with substeps.
+    not grow with substeps.  An F_E of spectral radius >= 1 raises ValueError.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -172,6 +172,8 @@ def simulate_euler(
     rng = np.random.default_rng(seed)
     p = model.p
     dt = delta / substeps
+    if max(abs(1.0 + r * dt) for r in model.roots) >= 1.0:  # spectral radius of F_E
+        raise ValueError(f"unstable Euler step: spectral radius of F_E >= 1 at substeps = {substeps}, delta = {delta}")
     FE = np.eye(p) + model.companion() * dt
     G = np.empty((p, substeps))
     G[:, -1] = np.eye(p)[-1]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,11 @@ class TestModelLoading:
         path = write_model(tmp_path, {"a": [1.0], "b": [1.0], "sigma2": 1.0, "extra": 1})
         assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
         assert "unknown model keys" in capsys.readouterr().err
+
+    def test_non_object_model(self, tmp_path, capsys):
+        path = write_model(tmp_path, [[1.0], [1.0], 1.0])
+        assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "carmahf: model file must contain a JSON object\n"
 
     def test_missing_key(self, tmp_path):
         path = write_model(tmp_path, {"a": [1.0], "sigma2": 1.0})
@@ -115,6 +121,13 @@ class TestAcvf:
 
         m = chf.CarmaModel([3.0, 2.0], [1.5, 1.0], 1.0)
         assert float(rows[0][1]) == pytest.approx(chf.acvf_filtered(m, 0.01, 0), rel=1e-12)
+
+    def test_version_and_timestamp_meta(self, model_file, capsys):
+        assert run_cli(["acvf", model_file, "--delta", "0.01"]) == 0
+        meta, _, _ = parse_csv(capsys.readouterr().out)
+        assert list(meta) == ["model", "delta", "mode", "version", "timestamp"]
+        assert meta["version"] == cli.__version__
+        assert datetime.fromisoformat(meta["timestamp"]).tzinfo is not None
 
     def test_json_output(self, model_file, capsys):
         assert run_cli(

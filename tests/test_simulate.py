@@ -258,8 +258,9 @@ class TestSimulateEuler:
 
         assert err(64) < err(1)
 
-    def test_compound_poisson_second_order(self, ou):
-        drv = DriverSpec(kind="compound_poisson", jump_rate=5.0, jump_dist="two_point")
+    @pytest.mark.parametrize("jump_dist", ["two_point", "normal"])
+    def test_compound_poisson_second_order(self, ou, jump_dist):
+        drv = DriverSpec(kind="compound_poisson", jump_rate=5.0, jump_dist=jump_dist)
         r = chf.simulate_euler(ou, 0.1, 200_000, substeps=32, driver=drv, seed=11)
         g0 = chf.acvf_continuous(ou, 0.0)
         g1 = chf.acvf_continuous(ou, 0.1)
@@ -284,6 +285,10 @@ class TestSimulateEuler:
     def test_substeps_validation(self, ou):
         with pytest.raises(ValueError):
             chf.simulate_euler(ou, 0.1, 100, substeps=0, driver=DriverSpec(), seed=1)
+        # F_E = 1 - Delta/S for the OU root -1: |F_E| = 1.5 diverges, |F_E| = 1 is a random walk
+        for delta in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"F_E >= 1 at substeps = 1, delta = {delta}"):
+                chf.simulate_euler(ou, delta, 100, substeps=1, driver=DriverSpec(), seed=1)
 
     def test_empty_and_negative_length(self, ou):
         r = chf.simulate_euler(ou, 0.1, 0, substeps=2, driver=DriverSpec(), seed=1)
