@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     AsymptoticMa,
-    c_coefficients,
     differenced_spectrum_asymptotic,
     f_ma_asymptotic,
     gamma_ma_asymptotic,
@@ -74,7 +73,6 @@ __all__ = [
     "acvf_filtered",
     "acvf_filtered_sequence",
     "annihilation_residual",
-    "c_coefficients",
     "coprime",
     "differenced_spectrum_asymptotic",
     "empirical_filtered_acvf",

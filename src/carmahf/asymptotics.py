@@ -1,13 +1,15 @@
 """Small-Delta limit formulas.
 
-The odd-coefficient series c_k(omega), the asymptotic filtered spectral
-density and autocovariances, the limit MA model for every p - q >= 1,
-and the differenced-spectrum form.
+The asymptotic autocovariances, the limit MA model for every p - q >= 1,
+and the asymptotic filtered and differenced spectra.
 
 The asymptotic autocovariance coefficients are one central difference of
 the generalized covariance of integrated Brownian motion.  The terms of
 that difference cancel heavily, so it is summed over integers and converted
-to float only at the end.
+to float only at the end.  The same integers give both spectra: the
+differenced spectrum is their cosine sum, a polynomial S_d(v) in
+v = 4 cos^2(omega/2) with positive coefficients, and the filtered one is
+S_d(v) times u^q, u = 4 sin^2(omega/2).  Neither has a pole at omega = 0.
 """
 
 from __future__ import annotations
@@ -20,62 +22,23 @@ import numpy as np
 
 from . import core
 from .core import CarmaModel
-from .factorization import spectral_factorize
-
-#: Exclusion zone around omega = 0, where c_k(omega) has a pole.
-OMEGA_TOL = 1e-8
+from .factorization import _w_polynomial, spectral_factorize
 
 
-class OmegaTooCloseToZero(ValueError):
-    pass
+def _numerator(p: int, q: int, n: int) -> int:
+    """2 (2d-1)! times the gamma_MA(n) coefficient of :func:`gamma_ma_asymptotic_coefficient`.
 
-
-def _check_omega(omega) -> np.ndarray:
-    w = np.asarray(omega, dtype=float)
-    if np.min(np.abs(1.0 - np.cos(w))) <= OMEGA_TOL:
-        raise OmegaTooCloseToZero(
-            "asymptotic spectral formulas have a pole at omega = 0; "
-            "require |1 - cos omega| > 1e-8"
-        )
-    return w
-
-
-def c_coefficients(omega, K: int) -> np.ndarray:
-    """Coefficients c_0..c_K of sinh(x)/(cosh(x) - cos omega) = sum c_k x^(2k+1).
-
-    Obtained by dividing the two Taylor series in powers of x^2, elementwise
-    over an omega array: the result has shape omega.shape + (K + 1,).
-    In particular c_0 = 1/(1 - cos omega).
+    |x|^(2d-1) = x^(2d-1) + 2 max(-x, 0)^(2d-1), and the 2p-th difference of
+    the polynomial x^(2d-1), of degree below 2p, is 0: only the terms with
+    n + k < 0 are left, doubled.
     """
-    w = _check_omega(omega)
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    inv = [1.0 / math.factorial(j) for j in range(2 * K + 2)]
-    den0 = 1.0 - np.cos(w)
-    c = np.empty(w.shape + (K + 1,))
-    for k in range(K + 1):
-        acc = 0.0  # sum_(i=1..k) c_(k-i) / (2i)!
-        for i in range(1, k + 1):
-            acc = acc + inv[2 * i] * c[..., k - i]
-        c[..., k] = (inv[2 * k + 1] - acc) / den0
-    return c
-
-
-def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
-    """Leading-order filtered spectral density as Delta -> 0 (fixed omega != 0)."""
-    core._check_delta(delta)
-    w = np.asarray(omega, dtype=float)
-    d = model.p - model.q
-    out = (
-        model.sigma2
-        / (2.0 * np.pi)
-        * (-1.0) ** (d - 1)
-        * np.float64(delta) ** (2 * d - 1)  # inf, not OverflowError, at huge delta
-        * c_coefficients(w, d - 1)[..., d - 1]
-        * 2.0 ** (model.p - 1)
-        * (1.0 - np.cos(w)) ** model.p
-    )
-    return core._like(w, out)
+    if not 0 <= q < p:
+        raise ValueError("require 0 <= q < p")
+    if n < 0:
+        raise ValueError("lag must be non-negative")
+    d = p - q
+    half = sum((-1) ** (k % 2) * math.comb(2 * p, p + k) * (-n - k) ** (2 * d - 1) for k in range(-p, -n))
+    return (-1) ** d * 2 * half
 
 
 def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
@@ -91,24 +54,17 @@ def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
     It is 0 for n >= p (a 2p-th difference of a polynomial of degree
     2d-1 < 2p) and (-1)^q / (2d-1)! at n = p - 1.
     """
-    if not 0 <= q < p:
-        raise ValueError("require 0 <= q < p")
-    if n < 0:
-        raise ValueError("lag must be non-negative")
-    d = p - q
-    total = sum(
-        (-1) ** (k % 2) * math.comb(2 * p, p + k) * abs(n + k) ** (2 * d - 1)
-        for k in range(-p, p + 1)
-    )
-    return Fraction((-1) ** d * total, 2 * math.factorial(2 * d - 1))
+    return Fraction(_numerator(p, q, n), 2 * math.factorial(2 * (p - q) - 1))
 
 
 def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:
     """Leading-order gamma_MA(n) as Delta -> 0."""
     core._check_delta(delta)
-    coef = gamma_ma_asymptotic_coefficient(model.p, model.q, n)
+    d = model.p - model.q
+    # one int / int division, correctly rounded like float(Fraction)
+    coef = _numerator(model.p, model.q, n) / (2 * math.factorial(2 * d - 1))
     # a numpy power overflows to inf where a Python float power raises OverflowError
-    return float(coef) * model.sigma2 * float(np.float64(delta) ** (2 * (model.p - model.q) - 1))
+    return coef * model.sigma2 * float(np.float64(delta) ** (2 * d - 1))
 
 
 @dataclass(frozen=True)
@@ -137,13 +93,45 @@ def limit_ma_model(d: int) -> AsymptoticMa:
     return AsymptoticMa(d, tuple(theta), tau2)
 
 
+def _differenced_polynomial(d: int) -> list:
+    """Ascending coefficients of S_d(v), v = w + 2 = 4 cos^2(omega/2).
+
+    S_d(w) = C(d, 0, 0) + sum_n C(d, 0, n) D_n(w) is the cosine sum of the
+    gamma_MA coefficients C.  It is built and shifted from w to v on integers
+    and divided by 2 (2d-1)! once; every coefficient is positive.
+    """
+    s = _w_polynomial([_numerator(d, 0, n) for n in range(d)])
+    for i in range(d):  # Taylor shift s(w) -> s(v - 2)
+        for k in range(d - 2, i - 1, -1):
+            s[k] -= 2 * s[k + 1]
+    den = 2 * math.factorial(2 * d - 1)
+    return [c / den for c in s]
+
+
 def differenced_spectrum_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
     """Leading-order spectral density of the (p-q)-times differenced samples.
 
-    For a CAR(1) this is the constant sigma^2 Delta / (2 pi): the increments
-    approximate those of Brownian motion.  It is the filtered form
-    :func:`f_ma_asymptotic` divided by the (1 - B)^q factor's power transfer
-    (2 - 2 cos omega)^q.
+    sigma^2 Delta^(2d-1) / (2 pi) * S_d(v) with v = 4 cos^2(omega/2), finite
+    and positive for every omega.  For a CAR(1) this is the constant
+    sigma^2 Delta / (2 pi): the increments approximate those of Brownian motion.
     """
-    out = f_ma_asymptotic(model, delta, omega) / (2.0 - 2.0 * np.cos(omega)) ** model.q
-    return core._like(omega, out)
+    core._check_delta(delta)
+    w = np.asarray(omega, dtype=float)
+    d = model.p - model.q
+    v = np.square(2.0 * np.cos(0.5 * w))
+    s = 0.0
+    for c in reversed(_differenced_polynomial(d)):  # Horner
+        s = s * v + c
+    # inf, not OverflowError, at huge delta
+    return core._like(w, model.sigma2 / (2.0 * np.pi) * np.float64(delta) ** (2 * d - 1) * s)
+
+
+def f_ma_asymptotic(model: CarmaModel, delta: float, omega) -> np.ndarray | float:
+    """Leading-order filtered spectral density as Delta -> 0.
+
+    sigma^2 Delta^(2d-1) / (2 pi) * u^q S_d(v): the differenced spectrum times
+    the power transfer u^q of the (1 - B)^q factor, u = 4 sin^2(omega/2).
+    It is finite for every omega and exactly 0 at omega = 0 for q >= 1.
+    """
+    w = np.asarray(omega, dtype=float)
+    return core._like(w, differenced_spectrum_asymptotic(model, delta, w) * (2.0 * np.sin(0.5 * w)) ** (2 * model.q))

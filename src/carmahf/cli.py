@@ -120,7 +120,6 @@ def _auto_omega_max(model: CarmaModel) -> float:
 def cmd_spectrum(args, model: CarmaModel) -> tuple:
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
     _require(0 <= args.omega_max < np.inf, "--omega-max must be finite and >= 0")
-    mask = slice(None)  # the values that must be finite
     if args.which == "continuous":
         omax = args.omega_max if args.omega_max else _auto_omega_max(model)
         grid = np.linspace(-omax, omax, args.grid_points)
@@ -132,12 +131,8 @@ def cmd_spectrum(args, model: CarmaModel) -> tuple:
         elif args.which == "filtered":
             vals = sampling.spectral_density_filtered(model, args.delta, grid)
         else:
-            # f_ma_asymptotic has a pole at omega = 0; those points read NaN.
-            mask = np.abs(1.0 - np.cos(grid)) > asymptotics.OMEGA_TOL
-            vals = np.full(len(grid), np.nan)
-            if mask.any():
-                vals[mask] = np.atleast_1d(asymptotics.f_ma_asymptotic(model, args.delta, grid[mask]))
-    _require_finite(vals[mask], "the spectral density", args.delta)
+            vals = asymptotics.f_ma_asymptotic(model, args.delta, grid)
+    _require_finite(vals, "the spectral density", args.delta)
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
     return {"delta": args.delta, "which": args.which}, ["omega", "f"], rows
 
@@ -175,9 +170,9 @@ def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
         warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
         gamma = sampling.acvf_filtered_sequence(model, delta).values
         f_ma = sampling.spectral_density_filtered(model, delta, list(omegas.values()))
+    f_ma_asym = asymptotics.f_ma_asymptotic(model, delta, list(omegas.values()))
     checks = [(f"acvf_ratio_lag{n}", g, asymptotics.gamma_ma_asymptotic(model, delta, n)) for n, g in enumerate(gamma)]
-    for (name, x), f in zip(omegas.items(), f_ma):
-        checks.append((f"spectrum_ratio_{name}", f, asymptotics.f_ma_asymptotic(model, delta, x)))
+    checks += [(f"spectrum_ratio_{name}", f, a) for name, f, a in zip(omegas, f_ma, f_ma_asym)]
     regime = sampling.coarseness(model, delta) <= 1.0
     rows = []
     for name, exact, asym in checks:

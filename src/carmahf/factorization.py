@@ -110,9 +110,9 @@ def _w_polynomial(gamma: list) -> list:
     """S(w) = gamma_0 + sum_n gamma_n D_n(w) in ascending powers of w.
 
     D_0 = 2, D_1 = w, D_(n+1) = w D_n - D_(n-1) on exact integer coefficients;
-    each S_k adds gamma_n D_n[k] in order of n.
+    each S_k adds gamma_n D_n[k] in order of n, so integer gammas give exact integers.
     """
-    s = [gamma[0]] + [0.0] * (len(gamma) - 1)
+    s = [gamma[0]] + [0] * (len(gamma) - 1)
     d_prev, d = [2], [0, 1]
     for g in gamma[1:]:
         for i, di in enumerate(d):

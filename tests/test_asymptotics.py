@@ -1,53 +1,37 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import carmahf as chf
 from carmahf import CarmaModel
-from carmahf.asymptotics import OmegaTooCloseToZero, gamma_ma_asymptotic_coefficient
+from carmahf.asymptotics import _numerator, gamma_ma_asymptotic_coefficient
 
 from conftest import corpus
 
 
-class TestCCoefficients:
-    def test_closed_forms(self):
-        for w in (0.5, 1.0, 2.5, np.pi - 0.1):
-            cw = math.cos(w)
-            c = chf.c_coefficients(w, 2)
-            assert c[0] == pytest.approx(1.0 / (1.0 - cw), rel=1e-12)
-            assert c[1] == pytest.approx(-(2.0 + cw) / (6.0 * (1.0 - cw) ** 2), rel=1e-12)
-            assert c[2] == pytest.approx(
-                (33.0 + 26.0 * cw + math.cos(2 * w)) / (240.0 * (1.0 - cw) ** 3), rel=1e-11
-            )
+def _cosine_sum(coefs, w) -> "mpmath.mpf":
+    """(C_0 + 2 sum_n C_n cos(n w)) / (2 pi) of exact rationals C_n.
 
-    def test_series_oracle(self):
-        # partial sums of sum c_k x^(2k+1) converge to sinh x / (cosh x - cos w)
-        w, x = 1.2, 0.3
-        c = chf.c_coefficients(w, 12)
-        series = sum(ck * x ** (2 * k + 1) for k, ck in enumerate(c))
-        want = math.sinh(x) / (math.cosh(x) - math.cos(w))
-        assert series == pytest.approx(want, rel=1e-12)
+    Exact at w = 0.  Near it the O(1) terms cancel to O(w^(2q)), so the
+    sum carries 60 digits more than that cancellation takes.
+    """
+    if w == 0.0:
+        total = coefs[0] + 2 * sum(coefs[1:])
+        return mpmath.mpf(total.numerator) / total.denominator / (2 * mpmath.pi)
+    with mpmath.workdps(60 + int(2 * len(coefs) * max(0.0, -math.log10(w)))):
+        x = mpmath.mpf(float(w))
+        total = mpmath.mpf(0)
+        for n, c in enumerate(coefs):
+            total += (1 if n == 0 else 2) * mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(n * x)
+        return +(total / (2 * mpmath.pi))
 
-    def test_vectorized_matches_scalar_bitwise(self):
-        # an omega array gives the scalar calls' rows, bit for bit
-        w = np.concatenate([np.linspace(-np.pi, -0.01, 157), np.linspace(0.01, np.pi, 157)])
-        for K in (0, 1, 4, 12):
-            c = chf.c_coefficients(w, K)
-            assert c.shape == (len(w), K + 1)
-            for x, row in zip(w, c):
-                assert row.tobytes() == chf.c_coefficients(float(x), K).tobytes()
-            grid = chf.c_coefficients(w.reshape(2, -1), K)
-            assert grid.tobytes() == c.tobytes()
 
-    def test_pole_guard(self):
-        with pytest.raises(OmegaTooCloseToZero):
-            chf.c_coefficients(np.array([1.0, 0.0]), 1)
-        with pytest.raises(OmegaTooCloseToZero):
-            chf.c_coefficients(0.0, 1)
-        with pytest.raises(OmegaTooCloseToZero):
-            chf.c_coefficients(1e-6, 1)
+def _ulps(got: float, want) -> float:
+    """|got - want| in units in the last place of want as a float."""
+    return float(abs(mpmath.mpf(float(got)) - want)) / math.ulp(float(want))
 
 
 class TestFmaAsymptotic:
@@ -65,14 +49,35 @@ class TestFmaAsymptotic:
             assert err_fine < err_coarse
 
     def test_car1_explicit(self, ou):
-        # d = 1: c_0 cancels the (1 - cos w) factor, leaving the flat
-        # Brownian-increment spectrum sigma2 delta / (2 pi)
+        # d = 1: S_1 = 1, the flat Brownian-increment spectrum sigma2 delta / (2 pi)
         d = 1e-3
         assert chf.f_ma_asymptotic(ou, d, 1.1) == pytest.approx(d / (2 * np.pi), rel=1e-12)
 
-    def test_pole_guard(self, ou):
-        with pytest.raises(OmegaTooCloseToZero):
-            chf.f_ma_asymptotic(ou, 0.01, 0.0)
+    def test_matches_mpmath_cosine_sum(self):
+        # Both spectra against the cosine sum of the exact coefficients in
+        # mpmath, at omega = 0, near it and on a grid over (0, pi].  Measured
+        # worst cases on x86-64 with numpy 2.4: 11.5 ulp for f_MA (p = 10,
+        # q = 9) and 5.9 ulp for the differenced spectrum (d = 10); the bounds
+        # double them to allow for another libm's sin and cos.
+        omegas = np.concatenate([[0.0, 1e-8, 1e-5, 1e-3], np.linspace(0.0, np.pi, 65)[1:]])
+        worst_f = worst_s = 0.0
+        for p in range(1, 11):
+            for q in range(p):
+                d = p - q
+                # (z + 1)^p: a stable model of orders (p, q); sigma2 = delta = 1 leaves the coefficient sums
+                m = CarmaModel([math.comb(p, k) for k in range(1, p + 1)], [1.0] * (q + 1))
+                f = chf.f_ma_asymptotic(m, 1.0, omegas)
+                s = chf.differenced_spectrum_asymptotic(m, 1.0, omegas)
+                if q >= 1:
+                    assert f[0] == 0.0
+                for w, fw, sw in zip(omegas, f, s):
+                    want_f = _cosine_sum([gamma_ma_asymptotic_coefficient(p, q, n) for n in range(p)], w)
+                    want_s = _cosine_sum([gamma_ma_asymptotic_coefficient(d, 0, n) for n in range(d)], w)
+                    if want_f != 0:
+                        worst_f = max(worst_f, _ulps(fw, want_f))
+                    worst_s = max(worst_s, _ulps(sw, want_s))
+        assert worst_f <= 23.0
+        assert worst_s <= 12.0
 
 
 class TestGammaMaAsymptotic:
@@ -111,21 +116,18 @@ class TestGammaMaAsymptotic:
                 asym = chf.gamma_ma_asymptotic(m, d, n)
                 assert exact / asym == pytest.approx(1.0, abs=tol)
 
-    def test_fourier_sum_matches_f_ma_asymptotic(self):
-        # The coefficients are the autocovariances of the limit spectrum, so
-        # their cosine sum must reproduce f_ma_asymptotic, which is built from
-        # the c_k(omega) series and never touches the coefficients.
-        sigma2, delta = 1.3, 0.1
-        for p in range(1, 9):
+    def test_half_sum_is_the_central_difference(self):
+        # only the terms with n + k < 0 are summed: the rest is a 2p-th
+        # difference of an odd polynomial of degree 2d - 1 < 2p, which is 0
+        for p in range(1, 13):
             for q in range(p):
-                # (z + 1)^p: a stable model of orders (p, q); the values depend on (p, q, sigma2) only
-                m = CarmaModel([math.comb(p, k) for k in range(1, p + 1)], [1.0] * (q + 1), sigma2=sigma2)
-                c = [float(gamma_ma_asymptotic_coefficient(p, q, n)) for n in range(p)]
-                for w in (np.pi / 4, np.pi / 2, 2.0, np.pi):
-                    trig = c[0] + 2.0 * sum(c[n] * math.cos(n * w) for n in range(1, p))
-                    want = chf.f_ma_asymptotic(m, delta, w)
-                    got = trig / (2.0 * np.pi) * sigma2 * delta ** (2 * (p - q) - 1)
-                    assert got == pytest.approx(want, rel=1e-9)
+                d = p - q
+                for n in range(p + 2):
+                    full = sum(
+                        (-1) ** (k % 2) * math.comb(2 * p, p + k) * abs(n + k) ** (2 * d - 1)
+                        for k in range(-p, p + 1)
+                    )
+                    assert _numerator(p, q, n) == (-1) ** d * full
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

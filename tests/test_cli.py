@@ -25,6 +25,9 @@ def model_file(tmp_path):
     return write_model(tmp_path, {"a": [3.0, 2.0], "b": [1.5, 1.0], "sigma2": 1.0, "label": "demo"})
 
 
+MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -165,16 +168,20 @@ class TestSpectrum:
         assert len(rows) == 11
         assert all(np.isfinite(float(r[1])) for r in rows)
 
-    def test_asymptotic_masks_origin(self, model_file, capsys):
-        assert run_cli(
-            ["spectrum", model_file, "--which", "asymptotic", "--delta", "0.01",
-             "--grid-points", "11", "--no-timestamp"]
-        ) == 0
-        _, _, rows = parse_csv(capsys.readouterr().out)
-        by_omega = {float(r[0]): float(r[1]) for r in rows}
-        assert np.isnan(by_omega[0.0])
-        finite = [v for w, v in by_omega.items() if w != 0.0]
-        assert all(np.isfinite(v) for v in finite)
+    def test_asymptotic_origin_row(self, capsys):
+        # omega = 0 reads the limit value: 0.0 under the (1 - B)^q factor of q >= 1, positive for q = 0
+        origin = {}
+        for name in ("carma21", "carma20"):
+            assert run_cli(
+                ["spectrum", str(MODELS / f"{name}.json"), "--which", "asymptotic", "--delta", "0.01",
+                 "--grid-points", "11", "--no-timestamp"]
+            ) == 0
+            _, _, rows = parse_csv(capsys.readouterr().out)
+            by_omega = {float(r[0]): float(r[1]) for r in rows}
+            assert all(np.isfinite(v) and v > 0.0 for w, v in by_omega.items() if w != 0.0)
+            origin[name] = by_omega[0.0]
+        assert origin["carma21"] == 0.0
+        assert origin["carma20"] > 0.0
 
     def test_bad_grid(self, model_file):
         assert run_cli(
@@ -195,7 +202,7 @@ class TestSampledArma:
         assert float(vals[("reconstruction_residual", "")]) < 1e-9
 
 
-CARMA30 = str(Path(__file__).resolve().parents[1] / "demos" / "models" / "carma30.json")
+CARMA30 = str(MODELS / "carma30.json")
 
 
 @pytest.mark.parametrize(
