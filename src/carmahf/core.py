@@ -4,13 +4,14 @@ The model, the one Delta rule, companion state-space matrices, the causal
 kernel g, the continuous-time autocovariance and spectral density, the
 stationary state covariance, and the sampled system (F, Q_Delta, b) in
 Delta-scaled coordinates that every Delta-grid quantity derives from.
-Everything goes through that one sampled system and the Lyapunov equation,
-never through the autoregressive roots, so every root multiplicity takes the
-same route; the kernel and the continuous-time autocovariance at lag h read
-the sampled system at Delta = h.  The roots (``CarmaModel.roots``, solved once
-when the model is built) serve only the stability check and coarse scale
-estimates.  The one matrix exponential (a fixed [13/13] Pade approximant of the
-norm-capped Van Loan block) and the Lyapunov solve are numpy alone.
+Everything goes through that one sampled system and the Lyapunov equation in
+the same scaled coordinates, never through the autoregressive roots, so every
+root multiplicity takes the same route; the kernel and the continuous-time
+autocovariance at lag h read the sampled system at Delta = h.  The roots
+(``CarmaModel.roots``, solved once when the model is built) serve only the
+stability check and scale estimates.  The one matrix exponential (a fixed
+[13/13] Pade approximant of the norm-capped Van Loan block) and the scaled
+Lyapunov solve are numpy alone.
 """
 
 from __future__ import annotations
@@ -181,17 +182,22 @@ def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T.
 
-    Solved as one p^2-unknown linear system (I (x) A + A (x) I) vec Sigma =
-    -vec(e_p e_p^T); p is small, and the Kronecker sum is nonsingular because
-    no two AR roots sum to zero in the open left half plane.
+    Solved in the scaled coordinates of :func:`_van_loan_block` at the power of
+    two h nearest 1/max|lambda|, so that T = diag(h^(p-1), ..., h, 1) is exact:
+    Sigma = T X T with (I (x) S h + S h (x) I) vec X = -h vec(e_p e_p^T), one
+    p^2-unknown system whose entries are O(1).  Unscaled, A's entries span
+    |lambda|^p and the small entries of Sigma are lost to cancellation, even
+    to a negative variance; h = 1 is that system itself.  The Kronecker sum is
+    nonsingular as no two AR roots sum to zero in the open left half plane.
     """
     p = model.p
-    A = model.companion()
-    I = np.eye(p)
+    h = 2.0 ** -round(math.log2(max(abs(z) for z in model.roots)))
+    Sh, I = _van_loan_block(model, h)[:p, :p], np.eye(p)
     rhs = np.zeros(p * p)
-    rhs[-1] = -1.0
-    sigma = np.linalg.solve(np.kron(I, A) + np.kron(A, I), rhs).reshape(p, p)
-    return 0.5 * (sigma + sigma.T)
+    rhs[-1] = -h
+    t = h ** (p - 1.0 - np.arange(p))
+    X = np.linalg.solve(np.kron(I, Sh) + np.kron(Sh, I), rhs).reshape(p, p)
+    return 0.5 * t[:, None] * (X + X.T) * t
 
 
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:

@@ -26,7 +26,7 @@ from .core import CarmaModel
 
 
 class CoarseSamplingWarning(UserWarning):
-    """Delta * max|Re lambda| > 1: outside the small-Delta regime."""
+    """Delta * max|lambda| > 1: outside the small-Delta regime."""
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class CovSequence:
 
 
 def coarseness(model: CarmaModel, delta: float) -> float:
-    """Delta * max|Re lambda|; the small-Delta regime is coarseness <= 1."""
-    return delta * max(abs(z.real) for z in model.roots)
+    """Delta * max|lambda|, not |Re lambda| (an undamped pair past Nyquist is coarse); small Delta is <= 1."""
+    return delta * max(abs(z) for z in model.roots)
 
 
 def _check_grid(model: CarmaModel, delta: float) -> None:
@@ -57,7 +57,7 @@ def _check_grid(model: CarmaModel, delta: float) -> None:
     c = coarseness(model, delta)
     if c > 1.0:
         warnings.warn(
-            f"delta={delta} is coarse for this model (delta * max|Re lambda| = "
+            f"delta={delta} is coarse for this model (delta * max|lambda| = "
             f"{c:.3g} > 1); asymptotic comparisons are unreliable",
             CoarseSamplingWarning,
             stacklevel=4,  # the caller of the public function, past its helper

@@ -11,6 +11,8 @@ scan of real numpy matmuls within fixed blocks, takes every root multiplicity
 the same way and draws the noise one block at a time, in state coordinates: no
 array but the path grows with its length or with Euler's substeps.  Models are
 valid once built; only Delta (:func:`core._check_delta`) and n are checked.
+Covariances are factored by plain Cholesky: one that is not positive definite
+raises numpy's LinAlgError rather than being perturbed.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -29,8 +31,6 @@ from .sampling import CovSequence
 
 #: Steps per block of the propagator's doubling scan; the state is carried between blocks.
 _BLOCK = 2**16
-#: Jitter added to near-singular transition noise covariances, relative to trace.
-_CHOL_JITTER = 1e-14
 #: empirical_filtered_acvf needs at least this many points per AR order.
 MIN_LENGTH_PER_ORDER = 100
 
@@ -78,14 +78,6 @@ def _check_path(delta: float, n: int) -> None:
         raise ValueError(f"path length n must be >= 0, got {n}")
 
 
-def _safe_cholesky(S: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        jitter = _CHOL_JITTER * np.trace(S) * np.eye(len(S))
-        return np.linalg.cholesky(S + jitter)
-
-
 def _propagate(b_out: np.ndarray, F: np.ndarray, draw, m: int, x0: np.ndarray) -> tuple:
     """y[k] = b_out . x[k] for x[k] = F x[k-1] + v[k-1] (k = 1..m), x[0] = x0.
 
@@ -129,8 +121,8 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     p = model.p
     F, Q, b = core.sampled_state_space(model, delta)
     t = delta ** np.arange(p - 1.0, -1.0, -1.0)
-    Lq = _safe_cholesky(model.sigma2 * Q)
-    Ls = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
+    Lq = np.linalg.cholesky(model.sigma2 * Q)
+    Ls = np.linalg.cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
     y = _propagate(b, F, lambda k: rng.standard_normal((k, p)) @ Lq.T, n - 1, x0)[0]
     return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
@@ -179,7 +171,7 @@ def simulate_euler(
     G[:, -1] = np.eye(p)[-1]
     for i in range(substeps - 1, 0, -1):
         G[:, i - 1] = FE @ G[:, i]
-    x0 = _safe_cholesky(model.sigma2 * core.stationary_state_covariance(model)) @ rng.standard_normal(p)
+    x0 = np.linalg.cholesky(model.sigma2 * core.stationary_state_covariance(model)) @ rng.standard_normal(p)
 
     rows = max(1, _BLOCK // substeps)  # Delta steps per slice: about _BLOCK increments
     def draw(k):

@@ -284,6 +284,17 @@ class TestValidate:
         assert all(r[4] in ("PASS", "WARN") for r in rows)
         assert any(r[0].startswith("mc_acvf") for r in rows)
 
+    def test_oscillatory_model_is_coarse_past_nyquist(self, tmp_path, capsys):
+        # roots -1 and -0.1 +- 100i: Delta |lambda| = 10 and 1.00005 at Delta = 0.1
+        # and 0.01, so those ratio rows are WARN; Delta * max|Re lambda| read 0.1 and FAIL
+        path = write_model(tmp_path, {"a": [1.2, 10000.21, 10000.01], "b": [1.0], "sigma2": 1.0})
+        assert run_cli(["validate", path, "--delta-sweep", "0.1:0.001:0.1", "--no-timestamp"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        ratio_rows = [(float(r[1]), r[4]) for r in rows if not r[0].startswith("mc_")]
+        assert [s for d, s in ratio_rows if d > 0.005] == ["WARN"] * 12
+        assert {s for d, s in ratio_rows if d < 0.005} == {"PASS"}
+        assert {r[4] for r in rows if r[0].startswith("mc_")} == {"PASS"}
+
 
 @pytest.mark.parametrize(
     "args, message",

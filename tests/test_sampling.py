@@ -9,6 +9,7 @@ from carmahf import CarmaModel, core
 from carmahf.sampling import (
     CoarseSamplingWarning,
     CovSequence,
+    coarseness,
     annihilation_residual,
 )
 
@@ -51,6 +52,12 @@ class TestGridChecks:
         # pytest.warns records the warning that the pytest configuration ignores
         with pytest.warns(CoarseSamplingWarning):
             chf.filter_coefficients(carma20, 0.6)  # 0.6 * 2 > 1
+
+    def test_coarseness_reads_the_modulus(self):
+        m = CarmaModel([1.2, 10000.21, 10000.01], [1.0])  # roots -1, -0.1 +- 100i
+        assert coarseness(m, 0.1) == pytest.approx(10.0, rel=1e-6)
+        with pytest.warns(CoarseSamplingWarning, match=r"max\|lambda\| = 10 > 1"):
+            chf.filter_coefficients(m, 0.1)  # Delta * max|Re lambda| is only 0.1
 
 
 class TestFilterCoefficients:
