@@ -139,7 +139,7 @@ def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:
     """sum_k A_k g(t - k Delta) for t > p Delta; vanishes identically in theory."""
     if t <= model.p * delta:
         raise ValueError("annihilation holds only beyond p * delta")
-    A = filter_coefficients(model, delta)
+    A = _filter_and_acvf(model, delta)[0]
     return float(A @ core.kernel_values(model, t - delta * np.arange(len(A))))
 
 

@@ -198,7 +198,7 @@ def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: i
     p = model.p
     if len(y) < MIN_LENGTH_PER_ORDER * p:
         raise ValueError(f"series too short: need at least {MIN_LENGTH_PER_ORDER * p} points")
-    u = np.convolve(y, sampling.filter_coefficients(model, result.delta), mode="valid")
+    u = np.convolve(y, sampling._filter_and_acvf(model, result.delta)[0], mode="valid")
     u = u - u.mean()
     n = len(u)
     gam = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(max(lags, p - 1) + 1)])

@@ -53,6 +53,19 @@ class TestGridChecks:
         with pytest.warns(CoarseSamplingWarning):
             chf.filter_coefficients(carma20, 0.6)  # 0.6 * 2 > 1
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: chf.annihilation_residual(m, 0.6, 2.0),
+            lambda m: chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, 0.6, 200, seed=0), m, 2),
+        ],
+        ids=["annihilation_residual", "empirical_filtered_acvf"],
+    )
+    def test_coarse_warning_points_at_the_caller(self, carma20, call):
+        with pytest.warns(CoarseSamplingWarning) as record:
+            call(carma20)
+        assert record[0].filename == __file__
+
     def test_coarseness_reads_the_modulus(self):
         m = CarmaModel([1.2, 10000.21, 10000.01], [1.0])  # roots -1, -0.1 +- 100i
         assert coarseness(m, 0.1) == pytest.approx(10.0, rel=1e-6)
