@@ -17,7 +17,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, asymptotics, core, factorization, sampling, simulate
+# asymptotics and simulate are imported inside the commands that use them, so a
+# cold call does not pay to load modules its subcommand never runs.
+from . import __version__, core, factorization, sampling
 from .core import CarmaModel, ModelError
 from .factorization import FactorizationError
 
@@ -99,6 +101,8 @@ def cmd_acvf(args, model: CarmaModel) -> tuple:
     if args.mode == "exact":
         vals = sampling.acvf_filtered_sequence(model, args.delta, args.lags).values
     else:
+        from . import asymptotics
+
         vals = [asymptotics.gamma_ma_asymptotic(model, args.delta, lag) for lag in range(args.lags + 1)]
     _require_finite(vals, "the autocovariance", args.delta)
     rows = [[lag, repr(float(val)), args.mode] for lag, val in enumerate(vals)]
@@ -131,6 +135,8 @@ def cmd_spectrum(args, model: CarmaModel) -> tuple:
         elif args.which == "filtered":
             vals = sampling.spectral_density_filtered(model, args.delta, grid)
         else:
+            from . import asymptotics
+
             vals = asymptotics.f_ma_asymptotic(model, args.delta, grid)
     _require_finite(vals, "the spectral density", args.delta)
     rows = [[repr(float(w)), repr(float(f))] for w, f in zip(grid, vals)]
@@ -165,6 +171,8 @@ def _parse_sweep(text: str) -> list:
 
 def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
     """Exact-vs-asymptotic ratio checks for one grid size, and the exact gamma_MA."""
+    from . import asymptotics
+
     omegas = {"pi/4": np.pi / 4, "pi/2": np.pi / 2, "pi": np.pi}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
@@ -183,6 +191,8 @@ def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
 
 
 def cmd_validate(args, model: CarmaModel) -> tuple:
+    from . import simulate
+
     deltas = _parse_sweep(args.delta_sweep)
     _require(args.seed >= 0, "--seed must be >= 0")
     _require(args.paths >= 1, "--paths must be >= 1")

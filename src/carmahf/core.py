@@ -148,14 +148,14 @@ def kernel_values(model: CarmaModel, t) -> np.ndarray:
     """The causal kernel g evaluated on an array of times.
 
     g(t) = b^T e^(At) e_p for t > 0, read off the sampled system at Delta = t
-    (:func:`_b_exp`), and 0 for t < 0.  At t = 0 the right limit
-    g(0+) = b_(p-1) is returned (nonzero only when p - q = 1); a NaN time
-    gives NaN.
+    (:func:`_b_exp`), and 0 for t < 0 and for t = inf, where g decays to 0.
+    At t = 0 the right limit g(0+) = b_(p-1) is returned (nonzero only when
+    p - q = 1); a NaN time gives NaN.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t.shape)
     out[t == 0.0] = model.b_vector()[-1]
-    rest = ~(t <= 0.0)
+    rest = ~(t <= 0.0) & (t != np.inf)
     out[rest] = _b_exp(model, t[rest])[:, -1]
     return out
 
@@ -219,13 +219,15 @@ def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
 
     The state-space identity sigma2 * b^T e^(A|h|) Sigma b, with b^T e^(A|h|)
     read off the sampled system at Delta = |h| (:func:`_b_exp`); valid for
-    every root multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself.
+    every root multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself, and an
+    infinite lag gives the limit 0; a NaN lag gives NaN.
     """
     h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
     b = model.b_vector()
     sb = model.sigma2 * (stationary_state_covariance(model) @ b)
     out = np.full(h_arr.shape, sb @ b)
-    lag = h_arr != 0.0
+    out[h_arr == np.inf] = 0.0
+    lag = (h_arr != 0.0) & (h_arr != np.inf)
     out[lag] = _b_exp(model, h_arr[lag]) @ sb
     return _like(h, out)
 

@@ -354,17 +354,24 @@ class TestEntryPoint:
     def test_import_skips_unused_scipy_subpackages(self, model_file):
         # No scipy module is loaded, neither by the import nor by validate,
         # which also runs the simulator; nor is numpy.polynomial, unless
-        # numpy's own import loads it (numpy < 2 does).
+        # numpy's own import loads it (numpy < 2 does).  asymptotics and
+        # simulate are loaded by the first subcommand that runs them.
+        runs = [
+            ["acvf", model_file, "--delta", "0.01", "--lags", "2"],
+            ["sampled-arma", model_file, "--delta", "0.01"],
+            ["spectrum", model_file, "--which", "filtered", "--grid-points", "5"],
+            ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5", "--length", "120000", "--seed", "42"],
+        ]
         code = (
             "import sys, numpy\n"
             "eager = {'numpy.polynomial'} & set(sys.modules)\n"
             "import carmahf, carmahf.cli\n"
             "def loaded(): return sorted(m for m in sys.modules\n"
-            "    if m.split('.')[0] == 'scipy' or m == 'numpy.polynomial' and not eager)\n"
+            "    if m.split('.')[0] == 'scipy' or m == 'numpy.polynomial' and not eager\n"
+            "    or m in ('carmahf.asymptotics', 'carmahf.simulate'))\n"
             "print(loaded())\n"
-            f"code = carmahf.cli.main(['validate', {model_file!r}, '--delta-sweep', '0.004:0.001:0.5', "
-            "'--length', '120000', '--seed', '42', '--no-timestamp', '--output', sys.argv[1]])\n"
-            "print(code, loaded())\n"
+            f"for argv in {runs!r}:\n"
+            "    print(argv[0], carmahf.cli.main([*argv, '--no-timestamp', '--output', sys.argv[1]]), loaded())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, os.devnull],
@@ -373,7 +380,13 @@ class TestEntryPoint:
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 []"]
+        assert proc.stdout.splitlines() == [
+            "[]",
+            "acvf 0 []",
+            "sampled-arma 0 []",
+            "spectrum 0 []",
+            "validate 0 ['carmahf.asymptotics', 'carmahf.simulate']",
+        ]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

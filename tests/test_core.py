@@ -480,6 +480,16 @@ class TestEdgeLags:
         assert np.isnan(chf.kernel_values(carma21, [0.5, np.nan])).tolist() == [False, True]
         assert np.isnan(chf.acvf_continuous(carma21, [0.5, np.nan])).tolist() == [False, True]
 
+    @pytest.mark.parametrize("a, b", [([3.0, 2.0], [1.5, 1.0]), ([4.0, 6.0, 4.0, 1.0], [0.5, 1.0])])
+    def test_infinite_lag_is_the_limit(self, a, b):
+        # g(inf) = 0 and gamma(+-inf) = 0, for distinct roots and the fourfold root -1
+        m = CarmaModel(a, b)
+        g = chf.kernel_values(m, [np.inf, -np.inf, np.nan])
+        gamma = chf.acvf_continuous(m, [np.inf, -np.inf, np.nan])
+        assert g[:2].tolist() == gamma[:2].tolist() == [0.0, 0.0]
+        assert np.isnan(g[2]) and np.isnan(gamma[2])
+        assert chf.kernel(m, np.inf) == chf.acvf_continuous(m, -np.inf) == 0.0
+
 
 def random_models(seed, n, p_min, repeat, pair, draw_pair):
     """n seeded models with b = (1) and p ~ U{p_min..10}, a refused one as None (never re-drawn).
