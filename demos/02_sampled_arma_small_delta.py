@@ -28,15 +28,6 @@ for delta in (0.5, 0.1, 0.02, 0.004, 0.001):
 
 print(f"\nlimit         | {lim.theta[0]:12.8f} | {lim.tau2_scale:16.10f} |")
 
-# the factorization is verified independently by the innovations recursion;
-# it converges here because q = 0.  For q >= 1, theta has a root within O(delta)
-# of the unit circle, and its 200 steps leave ~1e-3..1e-2 at delta = 1e-3.
-delta = 0.01
-arma = chf.sampled_arma(model, delta)
-cov = chf.acvf_filtered_sequence(model, delta)
-dev = chf.innovations_check(cov, arma.theta, arma.tau2)
-print(f"\ninnovations-recursion cross-check at delta={delta}: max deviation {dev:.2e}")
-
 # beyond lag p-1 the filtered covariances vanish: the sequence is MA(p-1)
-extras = [chf.acvf_filtered(model, delta, n) for n in range(model.p, model.p + 3)]
+extras = [chf.acvf_filtered(model, 0.01, n) for n in range(model.p, model.p + 3)]
 print("filtered covariances at lags p, p+1, p+2:", np.array(extras))

@@ -23,8 +23,8 @@ _EXPORTS = {
                     "gamma_ma_asymptotic_coefficient", "limit_ma_model"),
     "core": ("CarmaModel", "ModelError", "acvf_continuous", "kernel", "kernel_derivative_at_zero", "kernel_values",
              "spectral_density_continuous", "stationary_state_covariance", "validate"),
-    "factorization": ("FactorizationError", "SampledArma", "innovations_check", "reconstruct_acvf",
-                      "reconstruction_residual", "sampled_arma", "spectral_factorize"),
+    "factorization": ("FactorizationError", "SampledArma", "reconstruct_acvf", "reconstruction_residual",
+                      "sampled_arma", "spectral_factorize"),
     "poly": ("coprime", "find_roots", "is_stable"),
     "sampling": ("CoarseSamplingWarning", "CovSequence", "acvf_filtered", "acvf_filtered_sequence",
                  "annihilation_residual", "filter_coefficients", "power_transfer", "spectral_density_filtered",

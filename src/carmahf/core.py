@@ -246,12 +246,24 @@ def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
 
 
 def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
-    """f_Y(omega) = sigma2/(2 pi) * |b(i omega)|^2 / |a(i omega)|^2."""
+    """f_Y(omega) = sigma2/(2 pi) * |b(i omega)|^2 / |a(i omega)|^2.
+
+    Where |b|^2 or |a|^2 overflows at |omega| > 1, both are taken in
+    x = 1/(i omega) with reversed coefficients: |b(i omega)|^2 / |a(i omega)|^2
+    = |omega|^(2(q-p)) |x^q b(1/x)|^2 / |x^p a(1/x)|^2.
+    """
     w = np.asarray(omega, dtype=float)
-    iw = 1j * w
-    num = np.abs(np.polyval(model.b[::-1], iw)) ** 2
-    den = np.abs(np.polyval((1.0, *model.a), iw)) ** 2
-    return _like(w, model.sigma2 / (2.0 * np.pi) * num / den)
+    v = np.atleast_1d(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = 1j * v
+        num = np.abs(np.polyval(model.b[::-1], iw)) ** 2
+        den = np.abs(np.polyval((1.0, *model.a), iw)) ** 2
+    far = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(v) > 1.0)
+    if far.any():
+        x = -1j * (1.0 / v[far])
+        num[far] = np.abs(np.polyval(model.b, x)) ** 2 * np.abs(v[far]) ** (2.0 * (model.q - model.p))
+        den[far] = np.abs(np.polyval((*model.a[::-1], 1.0), x)) ** 2
+    return _like(w, (model.sigma2 / (2.0 * np.pi) * num / den).reshape(w.shape))
 
 
 def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:

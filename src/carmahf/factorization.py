@@ -4,8 +4,7 @@ Turns the filtered-sequence autocovariances into the invertible moving-average
 polynomial theta(B) and innovation variance tau^2 of the ARMA representation
 of the sampled process.  The covariance generating polynomial is palindromic,
 so it is factored in w = z + 1/z, where each reciprocal root pair (r, 1/r) is
-one root w = r + 1/r; theta takes the member with |r| >= 1 of each.  The
-innovations recursion checks it, slowly when theta nears the unit circle.
+one root w = r + 1/r; theta takes the member with |r| >= 1 of each.
 """
 
 from __future__ import annotations
@@ -139,41 +138,6 @@ def _unit_product(r: list) -> list:
     for rj in r:
         c = [c[0]] + [c[k] - c[k - 1] / rj for k in range(1, len(c))] + [-c[-1] / rj]
     return c
-
-
-def innovations_check(cov, theta, tau2: float, steps: int = 200) -> float:
-    """Independent check of a factorization via the innovations recursion.
-
-    Runs the innovations algorithm on the MA(m) covariance sequence and
-    returns the maximum deviation of the one-step predictor coefficients and
-    variance after ``steps`` steps from (theta, tau2).  It converges slowly
-    when theta has a root near the unit circle, as for q >= 1 at small Delta:
-    at Delta = 1e-3 it reports 3.6e-3 for a = (3, 2), b = (1.5, 1) and 1.7e-2
-    for a = (6, 11, 6), b = (2, 3, 1), whose factorizations rebuild gamma_MA
-    to 3e-16.  For q = 0 it reports <= 2e-16.
-    """
-    gamma = np.asarray(getattr(cov, "values", cov), dtype=float)
-    m = len(gamma) - 1
-    theta = np.asarray(theta, dtype=float)
-
-    def kappa(i, j):
-        d = abs(i - j)
-        return gamma[d] if d <= m else 0.0
-
-    v = np.empty(steps + 1)
-    v[0] = gamma[0]
-    th = np.zeros((steps + 1, steps + 1))
-    for n in range(1, steps + 1):
-        for k in range(max(0, n - m), n):
-            s = kappa(n, k)
-            for j in range(max(0, n - m), k):
-                s -= th[k, k - j] * th[n, n - j] * v[j]
-            th[n, n - k] = s / v[k]
-        v[n] = gamma[0] - sum(th[n, n - j] ** 2 * v[j] for j in range(max(0, n - m), n))
-    dev = abs(v[steps] - tau2) / max(tau2, 1e-300)
-    for j in range(m):
-        dev = max(dev, abs(th[steps, j + 1] - theta[j]))
-    return float(dev)
 
 
 def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:

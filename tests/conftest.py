@@ -63,45 +63,174 @@ def random_stable_model(rng, p_max=4):
     return CarmaModel(a, b, sigma2=float(rng.uniform(0.5, 2.0)))
 
 
-# Residue formulas for distinct AR roots, evaluated in 50-digit arithmetic: an
-# independent reference for the library's matrix-exponential routes.
+def roots_model(ar_roots, ma_zeros):
+    """The model with these AR roots and MA zeros, b scaled to b_q = 1."""
+    return CarmaModel(np.real(np.poly(ar_roots))[1:], np.atleast_1d(np.poly(ma_zeros))[::-1])
 
 
-def _residue_terms(model):
-    """(lambda, b(lambda)/a'(lambda), b(lambda) b(-lambda) / (a'(lambda) a(-lambda))) per root."""
-    a = [1.0, *model.a]  # descending coefficients
-    b = list(model.b[::-1])
-    terms = []
-    for z in mp.polyroots(a, maxsteps=200, extraprec=mp.prec):
-        da = mp.polyval(a, z, derivative=True)[1]
-        bz = mp.polyval(b, z)
-        terms.append((z, bz / da, bz * mp.polyval(b, -z) / (da * mp.polyval(a, -z))))
-    return terms
+#: AR roots and MA zeros of the cases beyond distinct roots and low q: a double root,
+#: a quadruple root, two roots 1e-5 apart, and q = p - 1 for p <= 5 (AR roots -1..-p,
+#: MA zeros -1.5..-(p - 0.5)).
+COVERAGE_ROOTS = {
+    "double": ([-1.0, -1.0], [-0.5]),
+    "quadruple": ([-1.0] * 4, [-0.5]),
+    "near_pair": ([-1.0, -1.0 - 1e-5, -2.0], [-0.5]),
+    **{f"p{p}q{p - 1}": (-np.arange(1.0, p + 1), -np.arange(1.5, p)) for p in range(1, 6)},
+}
 
 
-def residue_kernel(model, ts):
-    """g(t) = sum_lambda b(lambda)/a'(lambda) e^(lambda t) for t >= 0."""
-    with mp.workdps(50):
-        terms = _residue_terms(model)
-        return np.array([float(mp.re(sum(w * mp.exp(z * t) for z, w, _ in terms))) for t in ts])
+def coverage_models():
+    return [roots_model(*roots) for roots in COVERAGE_ROOTS.values()]
 
 
-def residue_acvf(model, hs):
-    """gamma_Y(h) = sigma2 * sum_lambda c_lambda e^(lambda |h|)."""
-    with mp.workdps(50):
-        terms = _residue_terms(model)
-        return np.array(
-            [float(model.sigma2 * mp.re(sum(c * mp.exp(z * abs(h)) for z, _, c in terms))) for h in hs]
+# The one high-precision reference: the state space (A, b, Sigma) in mpmath, from
+# which every tested quantity is derived for any root multiplicity.
+
+
+def mp_system(model):
+    """(A, b, Sigma) of the model in mpmath at the working precision.
+
+    Sigma_ij = Cov(Y^(i), Y^(j)) for the unit-input CAR(p) state, which is
+    (-1)^i gamma^(i+j)(0) for even i + j and 0 for odd (gamma is even), so
+    Sigma = sum_k c_k B_k with c_k = gamma^(2k)(0) and (B_k)_(i, 2k-i) = (-1)^i:
+    p unknowns, not p^2.  Column k of the p^2 Lyapunov equations
+    A Sigma + Sigma A^T = -e_p e_p^T is A B_k + B_k A^T, whose (i, j) entry is
+    (-1)^j A_(i, 2k-j) + (-1)^i A_(j, 2k-i).  The equations in c are
+    consistent; they are solved by least squares at three times the working
+    precision, and the full residual is checked at the working precision.
+    """
+    p, dps = model.p, mp.dps
+    a = model.companion()
+
+    def entry(i, j):
+        return a[i, j] if 0 <= j < p else 0.0
+
+    with mp.workdps(3 * dps):
+        K = mp.matrix(
+            [
+                [(-1) ** j * mp.mpf(entry(i, 2 * k - j)) + (-1) ** i * mp.mpf(entry(j, 2 * k - i)) for k in range(p)]
+                for i in range(p)
+                for j in range(p)
+            ]
         )
+        rhs = mp.matrix(p * p, 1)
+        rhs[p * p - 1] = -1
+        c = mp.lu_solve(K, rhs)
+        sigma = mp.matrix(p, p)
+        for i in range(p):
+            for j in range(i % 2, p, 2):
+                sigma[i, j] = (-1) ** i * c[(i + j) // 2]
+        A = mp.matrix(a.tolist())
+        E = A * sigma + sigma * A.T
+        E[p - 1, p - 1] += 1
+        assert mp.mnorm(E, 1) <= mp.mpf(10) ** -dps * mp.mnorm(A, 1) * mp.mnorm(sigma, 1)
+    return A, mp.matrix(model.b_vector().tolist()), sigma
 
 
-def residue_sampled_density(model, delta, omegas):
-    """f_Delta(w) = -sigma2/(2 pi) sum_lambda c_lambda sinh(lambda delta) / (cosh(lambda delta) - cos w)."""
-    with mp.workdps(50):
-        terms = _residue_terms(model)
-        d = mp.mpf(delta)
+def mp_sigma(model, dps=80):
+    """Sigma of :func:`mp_system` at ``dps`` digits, rounded to floats."""
+    with mp.workdps(dps):
+        return np.array(mp_system(model)[2].tolist(), dtype=float)
+
+
+def mp_kernel_acvf(model, lags):
+    """g(h) and gamma_Y(h) to 60 digits from the row b^T e^(Ah), rounded to floats.
+
+    Below h = 1e-3 the row is the Taylor series, whose terms fall at once;
+    above it mp.expm, whose error is relative to a norm of order one.
+    """
+    g, gamma = [], []
+    with mp.workdps(60):
+        A, b, sigma = mp_system(model)
+        for h in lags:
+            if h >= 1e-3:
+                row = b.T * mp.expm(A * mp.mpf(h))
+            else:
+                row = term = b.T
+                for n in range(1, 40):
+                    term = term * A * (mp.mpf(h) / n)
+                    row += term
+            g.append(row[model.p - 1])
+            gamma.append(model.sigma2 * (row * sigma * b)[0])
+    return np.array(g, dtype=float), np.array(gamma, dtype=float)
+
+
+def mp_continuous_density(model, omegas):
+    """f_Y(w) = sigma2/(2 pi) |b(iw)|^2 / |a(iw)|^2 to 30 digits, rounded to floats;
+    mpmath's exponent range has no overflow."""
+    with mp.workdps(30):
         out = []
         for w in omegas:
-            s = sum(c * mp.sinh(z * d) / (mp.cosh(z * d) - mp.cos(w)) for z, _, c in terms)
-            out.append(float(-model.sigma2 / (2 * mp.pi) * mp.re(s)))
-        return np.array(out)
+            z = mp.mpc(0, w)
+            num, den = abs(mp.polyval(model.b[::-1], z)) ** 2, abs(mp.polyval([1.0, *model.a], z)) ** 2
+            out.append(model.sigma2 / (2 * mp.pi) * num / den)
+        return np.array(out, dtype=float)
+
+
+def mp_sampled_density(model, delta, omegas):
+    """f_Delta(w) to 60 digits, rounded to floats.
+
+    gamma_Y(n delta) = sigma2 b^T F^n Sigma b with F = e^(A delta), so summing
+    the Fourier series gives
+    f_Delta(w) = sigma2/(2 pi) [b^T Sigma b + 2 Re b^T (e^(iw) I - F)^-1 F Sigma b].
+    """
+    with mp.workdps(60):
+        A, b, sigma = mp_system(model)
+        F = mp.expm(A * mp.mpf(delta))
+        s, u = (b.T * sigma * b)[0], F * sigma * b
+        out = []
+        for w in omegas:
+            r = mp.lu_solve(mp.expj(mp.mpf(w)) * mp.eye(model.p) - F, u)
+            out.append(model.sigma2 / (2 * mp.pi) * (s + 2 * mp.re((b.T * r)[0])))
+        return np.array(out, dtype=float)
+
+
+def mp_gamma_ma(model, delta):
+    """The filter phi and gamma_MA(0..p-1) at the working precision, as mp vectors.
+
+    phi_j are the coefficients of det(I - F B), the characteristic polynomial
+    of F = e^(A delta) by Faddeev-LeVerrier, and
+    gamma_MA(n) = sum_(j,k) phi_j phi_k gamma_Y((n + j - k) delta).
+    """
+    p = model.p
+    A, b, sigma = mp_system(model)
+    F = mp.expm(A * mp.mpf(delta))
+    phi, M = [mp.mpf(1)], mp.zeros(p, p)
+    for k in range(1, p + 1):
+        M = F * M + phi[-1] * mp.eye(p)
+        FM = F * M
+        phi.append(-mp.fsum(FM[i, i] for i in range(p)) / k)
+    rows = [b.T]
+    for _ in range(2 * p - 1):
+        rows.append(rows[-1] * F)
+    acvf = [model.sigma2 * (row * sigma * b)[0] for row in rows]
+    gamma = [
+        mp.fsum(phi[j] * phi[k] * acvf[abs(n + j - k)] for j in range(p + 1) for k in range(p + 1))
+        for n in range(p)
+    ]
+    return phi, gamma
+
+
+def mp_theta(gamma):
+    """(theta, tau2) of the invertible MA factor of gamma(0..m), at the working precision.
+
+    S(w) = gamma_0 + sum_n gamma_n D_n(w) by D_0 = 2, D_1 = w,
+    D_(n+1) = w D_n - D_(n-1); each root w of S, found by mp.polyroots at
+    raised precision, gives the root r of z^2 - w z + 1 with |r| >= 1;
+    theta(z) = prod(1 - z / r) and tau2 = gamma_0 / (1 + sum theta_j^2).
+    """
+    m = len(gamma) - 1
+    s = [gamma[0]] + [mp.mpf(0)] * m
+    d_prev, d = [2], [0, 1]
+    for g in gamma[1:]:
+        for i, di in enumerate(d):
+            s[i] += g * di
+        d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
+    c = [mp.mpc(1)]
+    if m:
+        for w in mp.polyroots(s[::-1], maxsteps=500, extraprec=2 * mp.prec):
+            root = mp.sqrt((w - 2) * (w + 2))
+            r = (w + root if abs(w + root) >= abs(w - root) else w - root) / 2
+            c = [c[0]] + [c[k] - c[k - 1] / r for k in range(1, len(c))] + [-c[-1] / r]
+    theta = [mp.re(x) for x in c[1:]]
+    return theta, gamma[0] / (1 + mp.fsum(t**2 for t in theta))

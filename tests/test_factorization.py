@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 import carmahf as chf
 from carmahf import CarmaModel, FactorizationError, core, poly
-from carmahf.factorization import _unit_product, _w_polynomial, innovations_check, reconstruct_acvf
+from carmahf.factorization import _unit_product, _w_polynomial, reconstruct_acvf
 
-from conftest import corpus, random_stable_model
+from conftest import COVERAGE_ROOTS, corpus, mp_gamma_ma, mp_theta, random_stable_model, roots_model
+
+EPS = np.finfo(float).eps
+#: Bound on phi and theta (absolute), and on gamma_MA and tau2 (relative to gamma_MA(0)
+#: and tau2), against the 80-digit reference; the worst measured on the corpus is 4 ulp.
+FORWARD_BOUND = 16 * EPS
 
 
 class TestSpectralFactorize:
@@ -117,17 +123,40 @@ class TestWForm:
             assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
-class TestInnovationsOracle:
+def mp_reference(model, delta):
+    """phi, gamma_MA, theta and tau2 of the sampled ARMA in 80 digits, rounded to floats."""
+    with mp.workdps(80):
+        phi, gamma = mp_gamma_ma(model, delta)
+        theta, tau2 = mp_theta(gamma)
+    return np.array(phi, dtype=float), np.array(gamma, dtype=float), np.array(theta, dtype=float), float(tau2)
+
+
+def assert_theta_tau2_close(arma, theta, tau2):
+    assert np.abs(np.array(arma.theta) - theta).max(initial=0.0) <= FORWARD_BOUND
+    assert abs(arma.tau2 - tau2) <= FORWARD_BOUND * tau2
+
+
+class TestForwardAccuracy:
+    """The filter, gamma_MA, theta and tau2 against the reference, not against each other."""
+
     def test_agreement_on_corpus(self):
         for m in corpus():
             for d in (0.05, 0.2):
+                phi, gamma, theta, tau2 = mp_reference(m, d)
                 arma = chf.sampled_arma(m, d)
-                cov = chf.acvf_filtered_sequence(m, d)
-                assert innovations_check(cov, arma.theta, arma.tau2) < 1e-8
+                assert np.abs(np.array(arma.phi) - phi).max() <= FORWARD_BOUND
+                got = chf.acvf_filtered_sequence(m, d).values
+                assert np.abs(np.array(got) - gamma).max() <= FORWARD_BOUND * gamma[0]
+                assert_theta_tau2_close(arma, theta, tau2)
 
-    def test_detects_wrong_factorization(self):
-        cov = [2.5, 1.0]
-        assert innovations_check(cov, [0.9], 2.5 / 1.81) > 1e-2
+    @pytest.mark.xfail(reason="theta's zeros near z = 1 are not resolved from float gamma_MA")
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3])
+    def test_p5q4_small_delta(self, delta):
+        # AR roots -1..-5, MA zeros -1.5..-4.5; measured errors: theta 1.2e-4 and 0.10,
+        # tau2 -4.3e-5 and +3.5% (relative) at delta = 1e-2 and 1e-3
+        m = roots_model(*COVERAGE_ROOTS["p5q4"])
+        _, _, theta, tau2 = mp_reference(m, delta)
+        assert_theta_tau2_close(chf.sampled_arma(m, delta), theta, tau2)
 
 
 class TestSampledArma:
