@@ -18,7 +18,7 @@ print(f"model: p={model.p}, q={model.q}, sigma2={model.sigma2}")
 # --- the causal kernel g(t) = b' e^{At} e_p for t > 0 ------------------------
 print("\nkernel g(t):")
 for t in (0.0, 0.25, 1.0, 3.0):
-    print(f"  g({t:4.2f}) = {chf.kernel(model, t):+.6f}")
+    print(f"  g({t:4.2f}) = {chf.kernel_values(model, t):+.6f}")
 
 # near t = 0 the kernel starts at b_q-normalized height 1 for p - q = 1
 print(f"  g(0+) (derivative order 0) = {chf.kernel_derivative_at_zero(model, 0):.6f}")

@@ -29,5 +29,5 @@ for delta in (0.5, 0.1, 0.02, 0.004, 0.001):
 print(f"\nlimit         | {lim.theta[0]:12.8f} | {lim.tau2_scale:16.10f} |")
 
 # beyond lag p-1 the filtered covariances vanish: the sequence is MA(p-1)
-extras = [chf.acvf_filtered(model, 0.01, n) for n in range(model.p, model.p + 3)]
+extras = chf.acvf_filtered_sequence(model, 0.01, model.p + 2).values[model.p:]
 print("filtered covariances at lags p, p+1, p+2:", np.array(extras))

@@ -7,6 +7,9 @@ exact-to-asymptotic ratios over a sweep of grid sizes; they approach 1.
 Run:  python3 demos/03_asymptotics_convergence.py
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 import carmahf as chf
@@ -22,10 +25,8 @@ for model in models:
     header = " | ".join(f"lag {n}" for n in range(model.p))
     print(f"{'delta':>8} | autocovariance ratios: {header}")
     for delta in (0.1, 0.03, 0.01, 0.003, 0.001):
-        ratios = [
-            chf.acvf_filtered(model, delta, n) / chf.gamma_ma_asymptotic(model, delta, n)
-            for n in range(model.p)
-        ]
+        gamma = chf.acvf_filtered_sequence(model, delta).values
+        ratios = [gamma[n] / chf.gamma_ma_asymptotic(model, delta, n) for n in range(model.p)]
         print(f"{delta:8.3f} | " + " | ".join(f"{r:9.5f}" for r in ratios))
 
     w = np.pi / 2
@@ -36,8 +37,11 @@ for model in models:
         )
         print(f"{delta:8.3f} | {r:9.5f}")
 
-# the exact rational coefficients behind the autocovariance asymptotics
+# the exact rational coefficients behind the autocovariance asymptotics: at
+# sigma2 = delta = 1, gamma_MA(p-1) is the coefficient (-1)^q / (2(p-q)-1)!
 print("\nexact top-lag coefficients (units sigma2 * delta^(2(p-q)-1)):")
 for p, q in ((1, 0), (2, 1), (2, 0), (3, 0), (4, 0)):
-    c = chf.gamma_ma_asymptotic_coefficient(p, q, p - 1)
+    # a(z) = (z + 1)^p and b(z) = z^q: a stable, coprime model of orders (p, q)
+    model = chf.CarmaModel([math.comb(p, k) for k in range(1, p + 1)], [0.0] * q + [1.0])
+    c = Fraction(chf.gamma_ma_asymptotic(model, 1.0, p - 1)).limit_denominator()
     print(f"  p={p}, q={q}: gamma_MA({p - 1}) coefficient = {c}")

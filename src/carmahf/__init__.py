@@ -20,15 +20,14 @@ __version__ = "0.1.0"
 #: Each submodule and the public names it defines.
 _EXPORTS = {
     "asymptotics": ("AsymptoticMa", "differenced_spectrum_asymptotic", "f_ma_asymptotic", "gamma_ma_asymptotic",
-                    "gamma_ma_asymptotic_coefficient", "limit_ma_model"),
-    "core": ("CarmaModel", "ModelError", "acvf_continuous", "kernel", "kernel_derivative_at_zero", "kernel_values",
+                    "limit_ma_model"),
+    "core": ("CarmaModel", "ModelError", "acvf_continuous", "kernel_derivative_at_zero", "kernel_values",
              "spectral_density_continuous", "stationary_state_covariance", "validate"),
     "factorization": ("FactorizationError", "SampledArma", "reconstruct_acvf", "reconstruction_residual",
                       "sampled_arma", "spectral_factorize"),
     "poly": ("coprime", "find_roots", "is_stable"),
-    "sampling": ("CoarseSamplingWarning", "CovSequence", "acvf_filtered", "acvf_filtered_sequence",
-                 "annihilation_residual", "filter_coefficients", "power_transfer", "spectral_density_filtered",
-                 "spectral_density_sampled"),
+    "sampling": ("CoarseSamplingWarning", "CovSequence", "acvf_filtered_sequence", "filter_coefficients",
+                 "power_transfer", "spectral_density_filtered", "spectral_density_sampled"),
     "simulate": ("DriverSpec", "SimulationResult", "empirical_filtered_acvf", "simulate_euler",
                  "simulate_gaussian_exact", "spawn_seeds"),
 }

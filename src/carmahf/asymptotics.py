@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,8 +25,16 @@ from .factorization import _w_polynomial, spectral_factorize
 
 
 def _numerator(p: int, q: int, n: int) -> int:
-    """2 (2d-1)! times the gamma_MA(n) coefficient of :func:`gamma_ma_asymptotic_coefficient`.
+    """2 (2d-1)! times the coefficient of sigma^2 Delta^(2d-1) in gamma_MA(n), d = p - q.
 
+    As Delta -> 0 the filter tends to (1 - B)^p and Y behaves locally like
+    (d-1)-fold integrated Brownian motion, whose generalized covariance is
+    (-1)^d |h|^(2d-1) / (2 (2d-1)!).  The coefficient is the 2p-th central
+    difference of that covariance at lag n:
+
+        (-1)^d / (2 (2d-1)!) * sum_{k=-p..p} (-1)^k C(2p, p+k) |n+k|^(2d-1).
+
+    It is 0 for n >= p and (-1)^q / (2d-1)! at n = p - 1.  Here
     |x|^(2d-1) = x^(2d-1) + 2 max(-x, 0)^(2d-1), and the 2p-th difference of
     the polynomial x^(2d-1), of degree below 2p, is 0: only the terms with
     n + k < 0 are left, doubled.
@@ -39,22 +46,6 @@ def _numerator(p: int, q: int, n: int) -> int:
     d = p - q
     half = sum((-1) ** (k % 2) * math.comb(2 * p, p + k) * (-n - k) ** (2 * d - 1) for k in range(-p, -n))
     return (-1) ** d * 2 * half
-
-
-def gamma_ma_asymptotic_coefficient(p: int, q: int, n: int) -> Fraction:
-    """Exact rational coefficient of sigma^2 Delta^(2d-1) in gamma_MA(n), d = p - q.
-
-    As Delta -> 0 the filter tends to (1 - B)^p and Y behaves locally like
-    (d-1)-fold integrated Brownian motion, whose generalized covariance is
-    (-1)^d |h|^(2d-1) / (2 (2d-1)!).  The coefficient is the 2p-th central
-    difference of that covariance at lag n:
-
-        (-1)^d / (2 (2d-1)!) * sum_{k=-p..p} (-1)^k C(2p, p+k) |n+k|^(2d-1).
-
-    It is 0 for n >= p (a 2p-th difference of a polynomial of degree
-    2d-1 < 2p) and (-1)^q / (2d-1)! at n = p - 1.
-    """
-    return Fraction(_numerator(p, q, n), 2 * math.factorial(2 * (p - q) - 1))
 
 
 def gamma_ma_asymptotic(model: CarmaModel, delta: float, n: int) -> float:
@@ -89,7 +80,9 @@ def limit_ma_model(d: int) -> AsymptoticMa:
     """
     if d < 1:
         raise ValueError(f"the limit MA model needs p - q >= 1, got {d}")
-    theta, tau2 = spectral_factorize([float(gamma_ma_asymptotic_coefficient(d, 0, n)) for n in range(d)])
+    # int / int divisions, correctly rounded like float(Fraction)
+    den = 2 * math.factorial(2 * d - 1)
+    theta, tau2 = spectral_factorize([_numerator(d, 0, n) / den for n in range(d)])
     return AsymptoticMa(d, tuple(theta), tau2)
 
 

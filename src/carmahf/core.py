@@ -144,25 +144,20 @@ def _pade13(M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V - U, V + U)
 
 
-def kernel_values(model: CarmaModel, t) -> np.ndarray:
-    """The causal kernel g evaluated on an array of times.
+def kernel_values(model: CarmaModel, t) -> np.ndarray | float:
+    """The causal kernel g at the times t: a float for a scalar t, else an array.
 
     g(t) = b^T e^(At) e_p for t > 0, read off the sampled system at Delta = t
     (:func:`_b_exp`), and 0 for t < 0 and for t = inf, where g decays to 0.
     At t = 0 the right limit g(0+) = b_(p-1) is returned (nonzero only when
     p - q = 1); a NaN time gives NaN.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros(t.shape)
-    out[t == 0.0] = model.b_vector()[-1]
-    rest = ~(t <= 0.0) & (t != np.inf)
-    out[rest] = _b_exp(model, t[rest])[:, -1]
-    return out
-
-
-def kernel(model: CarmaModel, t: float) -> float:
-    """Scalar convenience wrapper around :func:`kernel_values`."""
-    return float(kernel_values(model, [t])[0])
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros(t_arr.shape)
+    out[t_arr == 0.0] = model.b_vector()[-1]
+    rest = ~(t_arr <= 0.0) & (t_arr != np.inf)
+    out[rest] = _b_exp(model, t_arr[rest])[:, -1]
+    return _like(t, out)
 
 
 def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:

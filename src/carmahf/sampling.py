@@ -33,8 +33,8 @@ class CoarseSamplingWarning(UserWarning):
 class CovSequence:
     """Finite autocovariance list gamma(0..n_max) on a Delta-grid.
 
-    ``provenance`` is one of "exact", "asymptotic", "empirical"; empirical
-    sequences carry per-lag standard errors.
+    ``provenance`` is "exact" or "empirical"; empirical sequences carry
+    per-lag standard errors.
     """
 
     delta: float
@@ -43,7 +43,7 @@ class CovSequence:
     stderr: tuple | None = None
 
     def __post_init__(self):
-        if self.provenance not in ("exact", "asymptotic", "empirical"):
+        if self.provenance not in ("exact", "empirical"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
@@ -133,22 +133,6 @@ def spectral_density_filtered(model: CarmaModel, delta: float, omega):
     """Spectral density f_MA = psi * f_Delta of the filtered sequence."""
     shifted, Q, b = _shifted(model, delta, omega)
     return core._like(omega, np.abs(np.linalg.det(shifted)) ** 2 * _f_delta(model, shifted, Q, b))
-
-
-def annihilation_residual(model: CarmaModel, delta: float, t: float) -> float:
-    """sum_k A_k g(t - k Delta) for t > p Delta; vanishes identically in theory."""
-    if t <= model.p * delta:
-        raise ValueError("annihilation holds only beyond p * delta")
-    A = _filter_and_acvf(model, delta)[0]
-    return float(A @ core.kernel_values(model, t - delta * np.arange(len(A))))
-
-
-def acvf_filtered(model: CarmaModel, delta: float, n: int) -> float:
-    """Exact gamma_MA(n) of the filtered sampled sequence; lags n >= p are exactly 0 (MA(p-1))."""
-    if n < 0:
-        raise ValueError("lag must be non-negative")
-    gamma = _filter_and_acvf(model, delta)[1]
-    return gamma[n] if n < model.p else 0.0
 
 
 def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = None) -> CovSequence:

@@ -13,7 +13,7 @@ import pytest
 
 import carmahf as chf
 from carmahf import CarmaModel, DriverSpec
-from carmahf.asymptotics import gamma_ma_asymptotic_coefficient
+from carmahf.asymptotics import _numerator
 
 from conftest import corpus
 
@@ -56,12 +56,13 @@ def test_criterion_03_top_lag_rational_identity():
     for p in range(1, 7):
         for q in range(p):
             d = p - q
-            got = gamma_ma_asymptotic_coefficient(p, q, p - 1)
+            got = Fraction(_numerator(p, q, p - 1), 2 * math.factorial(2 * d - 1))
             ok &= got == Fraction((-1) ** q, math.factorial(2 * d - 1))
     # tabulated family: coefficients 1, 1/6, 1/120, 1/5040 for d = 1..4 with sign (-1)^(p-d)
     for d, denom in ((1, 1), (2, 6), (3, 120), (4, 5040)):
         p, q = d, 0
-        ok &= gamma_ma_asymptotic_coefficient(p, q, p - 1) == Fraction((-1) ** (p - d), denom)
+        got = Fraction(_numerator(p, q, p - 1), 2 * math.factorial(2 * d - 1))
+        ok &= got == Fraction((-1) ** (p - d), denom)
     report("criterion 3: top-lag asymptotic covariance, exact rational arithmetic", ok)
 
 
@@ -70,11 +71,9 @@ def test_criterion_04_exact_asymptotic_convergence():
     ok = True
     omegas = (np.pi / 4, np.pi / 2, np.pi)
     for m in corpus():
+        gamma = {d: chf.acvf_filtered_sequence(m, d).values for d in (1e-2, 1e-3)}
         for n in range(m.p):
-            errs = [
-                abs(chf.acvf_filtered(m, d, n) / chf.gamma_ma_asymptotic(m, d, n) - 1.0)
-                for d in (1e-2, 1e-3)
-            ]
+            errs = [abs(gamma[d][n] / chf.gamma_ma_asymptotic(m, d, n) - 1.0) for d in (1e-2, 1e-3)]
             ok &= errs[1] <= 0.02 and errs[1] < errs[0]
         for w in omegas:
             errs = [
@@ -92,7 +91,7 @@ def test_criterion_05_fourier_duality():
     ok = True
     for m in corpus():
         for d in (0.01, 0.1, 0.5):
-            g0 = chf.acvf_filtered(m, d, 0)
+            gamma = chf.acvf_filtered_sequence(m, d).values
             for n in range(m.p):
                 val, _ = quad(
                     lambda w: chf.spectral_density_filtered(m, d, w) * np.cos(n * w),
@@ -102,7 +101,7 @@ def test_criterion_05_fourier_duality():
                     epsabs=1e-14,
                     epsrel=1e-12,
                 )
-                ok &= abs(2.0 * val - chf.acvf_filtered(m, d, n)) <= 1e-8 * g0
+                ok &= abs(2.0 * val - gamma[n]) <= 1e-8 * gamma[0]
     report("criterion 5: Fourier duality of filtered covariances and spectrum", ok)
 
 
@@ -112,12 +111,13 @@ def test_criterion_06_finite_correlation_and_annihilation():
     rng = np.random.default_rng(606)
     for m in corpus():
         d = 0.1
-        g0 = chf.acvf_filtered(m, d, 0)
-        ok &= abs(chf.acvf_filtered(m, d, m.p)) <= 1e-9 * g0
-        ok &= abs(chf.acvf_filtered(m, d, m.p + 1)) <= 1e-9 * g0
-        gmax = max(abs(chf.kernel(m, t)) for t in np.linspace(0.01, 10.0, 400))
+        gamma = chf.acvf_filtered_sequence(m, d, m.p + 1).values
+        ok &= abs(gamma[m.p]) <= 1e-9 * gamma[0]
+        ok &= abs(gamma[m.p + 1]) <= 1e-9 * gamma[0]
+        gmax = np.abs(chf.kernel_values(m, np.linspace(0.01, 10.0, 400))).max()
+        A = chf.filter_coefficients(m, d)
         for t in m.p * d + rng.uniform(1e-3, 10.0, 20):
-            ok &= abs(chf.annihilation_residual(m, d, t)) <= 1e-10 * gmax
+            ok &= abs(A @ chf.kernel_values(m, t - d * np.arange(m.p + 1))) <= 1e-10 * gmax
     report("criterion 6: finite correlation length and kernel annihilation", ok)
 
 

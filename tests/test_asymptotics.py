@@ -7,9 +7,14 @@ import pytest
 
 import carmahf as chf
 from carmahf import CarmaModel
-from carmahf.asymptotics import _numerator, gamma_ma_asymptotic_coefficient
+from carmahf.asymptotics import _numerator
 
 from conftest import corpus
+
+
+def _coefficient(p: int, q: int, n: int) -> Fraction:
+    """The exact rational coefficient of sigma^2 Delta^(2d-1) in gamma_MA(n), d = p - q."""
+    return Fraction(_numerator(p, q, n), 2 * math.factorial(2 * (p - q) - 1))
 
 
 def _cosine_sum(coefs, w) -> "mpmath.mpf":
@@ -71,8 +76,8 @@ class TestFmaAsymptotic:
                 if q >= 1:
                     assert f[0] == 0.0
                 for w, fw, sw in zip(omegas, f, s):
-                    want_f = _cosine_sum([gamma_ma_asymptotic_coefficient(p, q, n) for n in range(p)], w)
-                    want_s = _cosine_sum([gamma_ma_asymptotic_coefficient(d, 0, n) for n in range(d)], w)
+                    want_f = _cosine_sum([_coefficient(p, q, n) for n in range(p)], w)
+                    want_s = _cosine_sum([_coefficient(d, 0, n) for n in range(d)], w)
                     if want_f != 0:
                         worst_f = max(worst_f, _ulps(fw, want_f))
                     worst_s = max(worst_s, _ulps(sw, want_s))
@@ -85,7 +90,7 @@ class TestGammaMaAsymptotic:
         # gamma_MA(p-1) coefficient equals (-1)^q / (2(p-q)-1)! exactly
         for p in range(1, 11):
             for q in range(p):
-                got = gamma_ma_asymptotic_coefficient(p, q, p - 1)
+                got = _coefficient(p, q, p - 1)
                 want = Fraction((-1) ** q, math.factorial(2 * (p - q) - 1))
                 assert got == want
 
@@ -93,14 +98,14 @@ class TestGammaMaAsymptotic:
         for p in range(1, 11):
             for q in range(p):
                 for n in range(p, p + 2):
-                    assert gamma_ma_asymptotic_coefficient(p, q, n) == 0
+                    assert _coefficient(p, q, n) == 0
 
     def test_known_table_values(self):
         # MA limit of the d=2 family: gamma(0)/gamma(1) = -(2-sqrt(3))/... check
         # via the tabulated limit model instead of hand expansion.
         lim = chf.limit_ma_model(2)
-        g0 = float(gamma_ma_asymptotic_coefficient(2, 0, 0))
-        g1 = float(gamma_ma_asymptotic_coefficient(2, 0, 1))
+        g0 = float(_coefficient(2, 0, 0))
+        g1 = float(_coefficient(2, 0, 1))
         t = lim.theta[0]
         assert g1 / g0 == pytest.approx(t / (1 + t * t), rel=1e-12)
         assert g0 == pytest.approx(lim.tau2_scale * (1 + t * t), rel=1e-12)
@@ -111,8 +116,9 @@ class TestGammaMaAsymptotic:
         # below the rounding error of its O(1) ingredients in unscaled form
         cases.append((CarmaModel([15.0, 85.0, 225.0, 274.0, 120.0], [1.0]), 1e-5, 1e-3))
         for m, d, tol in cases:
+            gamma = chf.acvf_filtered_sequence(m, d).values
             for n in range(m.p):
-                exact = chf.acvf_filtered(m, d, n)
+                exact = gamma[n]
                 asym = chf.gamma_ma_asymptotic(m, d, n)
                 assert exact / asym == pytest.approx(1.0, abs=tol)
 
@@ -131,9 +137,9 @@ class TestGammaMaAsymptotic:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            gamma_ma_asymptotic_coefficient(2, 2, 0)
+            _numerator(2, 2, 0)
         with pytest.raises(ValueError):
-            gamma_ma_asymptotic_coefficient(2, 0, -1)
+            _numerator(2, 0, -1)
 
 
 class TestLimitMaModel:
@@ -160,7 +166,7 @@ class TestLimitMaModel:
             lim = chf.limit_ma_model(d)
             t = np.concatenate([[1.0], lim.theta])
             for n in range(d):
-                want = float(gamma_ma_asymptotic_coefficient(p, q, n))
+                want = float(_coefficient(p, q, n))
                 got = lim.tau2_scale * float(np.dot(t[: d - n], t[n:]))
                 assert got == pytest.approx(want, rel=1e-9)
 

@@ -123,7 +123,7 @@ class TestAcvf:
         import carmahf as chf
 
         m = chf.CarmaModel([3.0, 2.0], [1.5, 1.0], 1.0)
-        assert float(rows[0][1]) == pytest.approx(chf.acvf_filtered(m, 0.01, 0), rel=1e-12)
+        assert float(rows[0][1]) == pytest.approx(chf.acvf_filtered_sequence(m, 0.01).values[0], rel=1e-12)
 
     def test_version_and_timestamp_meta(self, model_file, capsys):
         assert run_cli(["acvf", model_file, "--delta", "0.01"]) == 0
@@ -354,12 +354,15 @@ class TestEntryPoint:
     def test_import_skips_unused_scipy_subpackages(self, model_file):
         # No scipy module is loaded, neither by the import nor by validate,
         # which also runs the simulator; nor is numpy.polynomial, unless
-        # numpy's own import loads it (numpy < 2 does).  asymptotics and
-        # simulate are loaded by the first subcommand that runs them.
+        # numpy's own import loads it (numpy < 2 does), nor fractions or
+        # decimal: the asymptotic coefficients are divided as integers.
+        # asymptotics and simulate are loaded by the first subcommand that
+        # runs them.
         runs = [
             ["acvf", model_file, "--delta", "0.01", "--lags", "2"],
             ["sampled-arma", model_file, "--delta", "0.01"],
             ["spectrum", model_file, "--which", "filtered", "--grid-points", "5"],
+            ["acvf", model_file, "--delta", "0.01", "--lags", "1", "--mode", "asymptotic"],
             ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5", "--length", "120000", "--seed", "42"],
         ]
         code = (
@@ -368,7 +371,7 @@ class TestEntryPoint:
             "import carmahf, carmahf.cli\n"
             "def loaded(): return sorted(m for m in sys.modules\n"
             "    if m.split('.')[0] == 'scipy' or m == 'numpy.polynomial' and not eager\n"
-            "    or m in ('carmahf.asymptotics', 'carmahf.simulate'))\n"
+            "    or m in ('carmahf.asymptotics', 'carmahf.simulate', 'fractions', 'decimal'))\n"
             "print(loaded())\n"
             f"for argv in {runs!r}:\n"
             "    print(argv[0], carmahf.cli.main([*argv, '--no-timestamp', '--output', sys.argv[1]]), loaded())\n"
@@ -385,6 +388,7 @@ class TestEntryPoint:
             "acvf 0 []",
             "sampled-arma 0 []",
             "spectrum 0 []",
+            "acvf 0 ['carmahf.asymptotics']",
             "validate 0 ['carmahf.asymptotics', 'carmahf.simulate']",
         ]
 

@@ -147,13 +147,13 @@ class TestCompanion:
 
 class TestKernel:
     def test_ou(self, ou):
-        assert chf.kernel(ou, 0.5) == pytest.approx(np.exp(-0.5), rel=1e-12)
+        assert chf.kernel_values(ou, 0.5) == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_causal(self, carma20):
-        assert chf.kernel(carma20, -1.0) == 0.0
+        assert chf.kernel_values(carma20, -1.0) == 0.0
 
     def test_carma20_closed_form(self, carma20):
-        assert chf.kernel(carma20, 1.0) == pytest.approx(np.exp(-1) - np.exp(-2), rel=1e-12)
+        assert chf.kernel_values(carma20, 1.0) == pytest.approx(np.exp(-1) - np.exp(-2), rel=1e-12)
 
     def test_expm_vs_mpmath(self):
         rng = np.random.default_rng(3)
@@ -166,7 +166,7 @@ class TestKernel:
         # a(z) = (z+1)^2: g(t) = t e^{-t}
         m = CarmaModel([2.0, 1.0], [1.0])
         for t in (0.3, 1.0, 2.5):
-            assert chf.kernel(m, t) == pytest.approx(t * np.exp(-t), rel=1e-9)
+            assert chf.kernel_values(m, t) == pytest.approx(t * np.exp(-t), rel=1e-9)
 
 
 class TestKernelDerivativesAtZero:
@@ -199,7 +199,7 @@ class TestAcvfContinuous:
         # gamma_Y(h) = sigma2 * int_0^inf g(u) g(u+|h|) du
         for h in (0.0, 0.7, 5.0):
             oracle, _ = quad(
-                lambda u: chf.kernel(carma21, u) * chf.kernel(carma21, u + h),
+                lambda u: chf.kernel_values(carma21, u) * chf.kernel_values(carma21, u + h),
                 0.0,
                 np.inf,
                 limit=200,
@@ -215,7 +215,7 @@ class TestAcvfContinuous:
 
     def test_repeated_roots_fall_back(self):
         m = CarmaModel([2.0, 1.0], [1.0])  # double root -1
-        oracle, _ = quad(lambda u: chf.kernel(m, u) ** 2, 0.0, np.inf, limit=200)
+        oracle, _ = quad(lambda u: chf.kernel_values(m, u) ** 2, 0.0, np.inf, limit=200)
         assert chf.acvf_continuous(m, 0.0) == pytest.approx(oracle, rel=1e-9)
         # quadruple root -1: gamma_Y(0) = int (t^3 e^-t / 3!)^2 dt = 6! / (2^7 3!^2)
         m = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0])
@@ -349,7 +349,7 @@ class TestMatrixExp:
         m = CarmaModel([10.0, 35.0, 50.0, 24.0, 5.0], [1.0])
         assert max_rel_error(core.sampled_state_space(m, 1.0)[0], mp_expm(m.companion())) <= 16 * EPS
         g, gamma = mp_kernel_acvf(m, [1.0])
-        assert abs(chf.kernel(m, 1.0) - g[0]) <= 16 * EPS * abs(g[0])
+        assert abs(chf.kernel_values(m, 1.0) - g[0]) <= 16 * EPS * abs(g[0])
         assert abs(chf.acvf_continuous(m, 1.0) - gamma[0]) <= 16 * EPS * abs(gamma[0])
 
     def test_stack_against_mpmath(self):
@@ -440,7 +440,7 @@ class TestEdgeLags:
         gamma = chf.acvf_continuous(m, [np.inf, -np.inf, np.nan])
         assert g[:2].tolist() == gamma[:2].tolist() == [0.0, 0.0]
         assert np.isnan(g[2]) and np.isnan(gamma[2])
-        assert chf.kernel(m, np.inf) == chf.acvf_continuous(m, -np.inf) == 0.0
+        assert chf.kernel_values(m, np.inf) == chf.acvf_continuous(m, -np.inf) == 0.0
 
 
 def random_models(seed, n, p_min, repeat, pair, draw_pair):

@@ -10,7 +10,6 @@ from carmahf.sampling import (
     CoarseSamplingWarning,
     CovSequence,
     coarseness,
-    annihilation_residual,
 )
 
 from conftest import corpus, coverage_models, mp_sampled_density, random_stable_model
@@ -30,8 +29,9 @@ def assert_density_close(m, delta):
 
 class TestCovSequence:
     def test_provenance_guard(self):
-        with pytest.raises(ValueError):
-            CovSequence(delta=0.1, values=(1.0,), provenance="guessed")
+        for provenance in ("guessed", "asymptotic"):
+            with pytest.raises(ValueError):
+                CovSequence(delta=0.1, values=(1.0,), provenance=provenance)
 
     def test_ok(self):
         c = CovSequence(delta=0.1, values=(1.0, 0.5), provenance="exact")
@@ -68,10 +68,10 @@ class TestGridChecks:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: chf.annihilation_residual(m, 0.6, 2.0),
+            lambda m: chf.filter_coefficients(m, 0.6),
             lambda m: chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, 0.6, 200, seed=0), m, 2),
         ],
-        ids=["annihilation_residual", "empirical_filtered_acvf"],
+        ids=["filter_coefficients", "empirical_filtered_acvf"],
     )
     def test_coarse_warning_points_at_the_caller(self, carma20, call):
         with pytest.warns(CoarseSamplingWarning) as record:
@@ -185,6 +185,7 @@ class TestFilteredDensity:
         # gamma_MA(n) = int_-pi^pi f_MA(w) e^{inw} dw for every corpus model
         for m in corpus():
             d = 0.1
+            gamma = chf.acvf_filtered_sequence(m, d).values
             for n in range(m.p):
                 val, _ = quad(
                     lambda w: chf.spectral_density_filtered(m, d, w) * np.cos(n * w),
@@ -193,24 +194,20 @@ class TestFilteredDensity:
                     limit=300,
                     epsrel=1e-12,
                 )
-                assert 2 * val == pytest.approx(
-                    chf.acvf_filtered(m, d, n), rel=1e-8, abs=1e-14
-                )
+                assert 2 * val == pytest.approx(gamma[n], rel=1e-8, abs=1e-14)
 
 
 class TestAnnihilation:
     def test_residual_tiny(self):
+        # sum_k A_k g(t - k delta) = 0 for t > p delta: the filter annihilates the kernel
         rng = np.random.default_rng(33)
         for _ in range(5):
             m = random_stable_model(rng)
             d = rng.uniform(0.05, 0.3)
+            A = chf.filter_coefficients(m, d)
             for t in (m.p * d * 1.5, m.p * d + 3.0):
-                g0 = chf.kernel(m, 0.5)
-                assert abs(annihilation_residual(m, d, t)) < 1e-10 * max(1.0, abs(g0))
-
-    def test_inside_support_rejected(self, carma20):
-        with pytest.raises(ValueError):
-            annihilation_residual(carma20, 0.1, 0.15)
+                g0 = chf.kernel_values(m, 0.5)
+                assert abs(A @ chf.kernel_values(m, t - d * np.arange(m.p + 1))) < 1e-10 * max(1.0, abs(g0))
 
 
 class TestAcvfFiltered:
@@ -218,35 +215,36 @@ class TestAcvfFiltered:
         # gamma_MA(0) = sigma2 (1 - e^{-2 delta}) / 2 for the unit CAR(1)
         d = 0.2
         want = 0.5 * (1 - np.exp(-2 * d))
-        assert chf.acvf_filtered(ou, d, 0) == pytest.approx(want, rel=1e-12)
+        assert chf.acvf_filtered_sequence(ou, d).values[0] == pytest.approx(want, rel=1e-12)
 
     def test_direct_sum_oracle(self, carma21):
         # gamma_MA(n) = sum_{j,k} A_j A_k gamma_Y((n + j - k) delta)
         d = 0.15
         A = chf.filter_coefficients(carma21, d)
+        gamma = chf.acvf_filtered_sequence(carma21, d).values
         for n in range(carma21.p):
             oracle = sum(
                 A[j] * A[k] * chf.acvf_continuous(carma21, (n + j - k) * d)
                 for j in range(len(A))
                 for k in range(len(A))
             )
-            assert chf.acvf_filtered(carma21, d, n) == pytest.approx(oracle, rel=1e-10)
+            assert gamma[n] == pytest.approx(oracle, rel=1e-10)
 
     def test_vanishing_beyond_order(self):
         for m in corpus():
             d = 0.1
-            g0 = chf.acvf_filtered(m, d, 0)
+            gamma = chf.acvf_filtered_sequence(m, d, m.p + 2).values
             for n in range(m.p, m.p + 3):
-                assert abs(chf.acvf_filtered(m, d, n)) < 5e-14 * g0
+                assert abs(gamma[n]) < 5e-14 * gamma[0]
 
     def test_sequence(self, carma30):
         cov = chf.acvf_filtered_sequence(carma30, 0.1)
         assert cov.provenance == "exact"
         assert len(cov.values) == 3
-        assert cov.values[0] == pytest.approx(chf.acvf_filtered(carma30, 0.1, 0))
+        assert cov.values == chf.acvf_filtered_sequence(carma30, 0.1, n_max=4).values[:3]
 
     def test_coarse_grid(self, carma30):
-        assert chf.acvf_filtered(carma30, 50.0, 0) == pytest.approx(1 / 120, abs=1e-9)
+        assert chf.acvf_filtered_sequence(carma30, 50.0).values[0] == pytest.approx(1 / 120, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [1e3, 1e10, 1e30])
     def test_decorrelated_limit(self, delta):
@@ -259,23 +257,24 @@ class TestAcvfFiltered:
 
     def test_beyond_scaled_range_is_nan(self, carma30):
         # Q's Delta-scaled (0, 0) entry, gamma_Y(0) / delta^4, underflows
-        assert np.isnan(chf.acvf_filtered(carma30, 1e100, 0))
+        assert np.isnan(chf.acvf_filtered_sequence(carma30, 1e100).values[0])
 
     def test_negative_lag_rejected(self, ou):
         with pytest.raises(ValueError):
-            chf.acvf_filtered(ou, 0.1, -1)
+            chf.acvf_filtered_sequence(ou, 0.1, -1)
 
     def test_negative_n_max_rejected(self, carma30):
         with pytest.raises(ValueError, match="lag must be non-negative"):
             chf.acvf_filtered_sequence(carma30, 0.1, n_max=-1)
-        assert chf.acvf_filtered_sequence(carma30, 0.1, n_max=0).values == (chf.acvf_filtered(carma30, 0.1, 0),)
+        first = chf.acvf_filtered_sequence(carma30, 0.1).values[:1]
+        assert chf.acvf_filtered_sequence(carma30, 0.1, n_max=0).values == first
 
 
 class TestNoSharedState:
     def test_results_do_not_leak_between_calls(self, carma20):
         # every call builds its own arrays; scaling one in place changes no other
         d = 0.1
-        g0, g_ma = chf.acvf_continuous(carma20, 0.0), chf.acvf_filtered(carma20, d, 0)
+        g0, g_ma = chf.acvf_continuous(carma20, 0.0), chf.acvf_filtered_sequence(carma20, d).values
         arrays = [
             lambda: [core.stationary_state_covariance(carma20)],
             lambda: list(core.sampled_state_space(carma20, d)),
@@ -288,4 +287,4 @@ class TestNoSharedState:
                 x *= 2.0
             assert all(np.array_equal(x, y) for x, y in zip(get(), want))
         assert chf.acvf_continuous(carma20, 0.0) == g0
-        assert chf.acvf_filtered(carma20, d, 0) == g_ma
+        assert chf.acvf_filtered_sequence(carma20, d).values == g_ma
