@@ -53,6 +53,8 @@ def load_model(path: str) -> CarmaModel:
             raise CliError(EXIT_VALIDATION, f"invalid model: {key} must be a JSON array of numbers, got {doc[key]!r}")
     if not isinstance(doc["sigma2"], float):
         raise CliError(EXIT_VALIDATION, f"invalid model: sigma2 must be a JSON number, got {doc['sigma2']!r}")
+    if not isinstance(doc.get("label", ""), str):
+        raise CliError(EXIT_VALIDATION, f"invalid model: label must be a JSON string, got {doc['label']!r}")
     model = CarmaModel(doc["a"], doc["b"], doc["sigma2"], doc.get("label"))
     core.validate(model)
     return model
@@ -283,6 +285,8 @@ def main(argv=None) -> int:
         code, message = EXIT_VALIDATION, f"invalid model ({exc.reason}): {exc}"
     except FactorizationError as exc:
         code, message = EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}"
+    except np.linalg.LinAlgError as exc:  # a covariance that is not numerically positive definite
+        code, message = EXIT_NUMERIC, f"linear algebra failed: {exc}"
     else:
         if columns[-1] == "status" and any(r[-1] == "FAIL" for r in rows):  # a failed validate check
             return EXIT_NUMERIC

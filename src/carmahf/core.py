@@ -3,15 +3,12 @@
 The model, the one Delta rule, companion state-space matrices, the causal
 kernel g, the continuous-time autocovariance and spectral density, the
 stationary state covariance, and the sampled system (F, Q_Delta, b) in
-Delta-scaled coordinates that every Delta-grid quantity derives from.
-Everything goes through that one sampled system and the p-unknown Lyapunov
-solve in the same scaled coordinates, never through the autoregressive roots,
-so every root multiplicity takes the same route; the kernel and the
-continuous-time autocovariance at lag h read the sampled system at Delta = h.
-The roots (``CarmaModel.roots``, solved once when the model is built) serve
-only the stability check and scale estimates.  The one matrix exponential (a
-fixed [13/13] Pade approximant of the norm-capped Van Loan block) and the
-scaled p-unknown Lyapunov solve are numpy alone.
+Delta-scaled coordinates that every Delta-grid quantity derives from; the
+kernel and the continuous-time autocovariance at lag h read it at Delta = h.
+No route reads the autoregressive roots, so every root multiplicity takes the
+same route: the matrix exponential is one fixed [13/13] Pade approximant of the
+norm-capped Van Loan block, in numpy, and Sigma is one exact solve in Python
+integers.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from . import poly
 
 
 class ModelError(ValueError):
-    """A CARMA model violates one of the standing assumptions."""
+    """A model assumption fails, named by ``reason`` (:class:`CarmaModel`, :func:`validate`) or ``sigma_overflow``."""
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)
@@ -44,8 +41,9 @@ class CarmaModel:
     Construction raises :class:`ModelError` naming the first violated
     assumption: ``bad_orders``, ``nonpositive_sigma2``, ``non_finite``,
     ``bad_normalization`` or ``unstable_ar``.  ``roots`` keeps the companion
-    eigenvalues of the stability test, outside equality and hashing; an m-fold
-    root comes out split by about eps^(1/m), ample for sign and scale tests.
+    eigenvalues of the stability test, outside equality and hashing, and serves
+    only that test, ``sampling.coarseness``, Euler's step check and the CLI's
+    omega window; an m-fold root comes out split by about eps^(1/m).
     """
 
     a: tuple
@@ -124,6 +122,7 @@ _PADE13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j))
 #: Largest 1-norm of a Van Loan block exponentiated whole.  Below theta_13 = 4.25 the [13/13]
 #: Pade approximant has backward error below unit roundoff (Al-Mohy & Higham 2009, Table 3.1).
 _BLOCK_NORM = 4.0
+_TINY = np.finfo(float).tiny
 
 
 def _norm1(X: np.ndarray) -> float:
@@ -131,9 +130,7 @@ def _norm1(X: np.ndarray) -> float:
 
 
 def _pade13(M: np.ndarray) -> np.ndarray:
-    """e^M = X from the [13/13] Pade (V - U) X = V + U if ||M||_1 <= _BLOCK_NORM, else NaN."""
-    if not _norm1(M) <= _BLOCK_NORM:
-        return np.full(M.shape, np.nan)
+    """e^M = X from the [13/13] Pade (V - U) X = V + U, for ||M||_1 <= _BLOCK_NORM."""
     b = _PADE13
     I = np.eye(len(M))
     M2 = M @ M
@@ -188,25 +185,34 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     do in the open left half plane: c -> A Sigma(c) + Sigma(c) A^T is
     injective and vanishes identically off the last row and column.
 
-    K is built in the scaled coordinates of :func:`_van_loan_block` at the
-    power of two h nearest 1/max|lambda|, where every entry of S h is O(1):
-    X = T^-1 Sigma T^-1, T = diag(h^(p-1), ..., h, 1), has the same form and
-    solves S h X + X (S h)^T = -h e_p e_p^T, and Sigma's c_k is X's times the
-    exact h^(2(p-1-k)).  The scaling is not optional: unscaled, A's entries
-    span |lambda|^p and the small entries of Sigma are lost to cancellation;
-    with roots spread over nine decades the unscaled solve errs by up to 1e7
-    per entry, relative to the variances.  Sigma comes out exactly symmetric,
-    with exact zeros where i + j is odd.
+    Each entry of K is a sum of two of 0, +-1 and +-a_j, so den K is an integer
+    matrix (den: the largest denominator of the binary fractions a_j).
+    Fraction-free Gauss-Jordan (Bareiss 1968) solves it exactly in Python
+    integers, and one int / int division per c_k rounds it correctly, with no
+    scaling; a c_k beyond the float range raises ModelError("sigma_overflow").
     """
     p = model.p
-    h = 2.0 ** -round(math.log2(max(abs(z) for z in model.roots)))
-    Sh = _van_loan_block(model, h)[:p, :p]
-    k = np.arange(p)
-    B = np.where(k[:, None] + k == 2 * k[:, None, None], (-1.0) ** k[:, None], 0.0)  # B[k][i, 2k - i] = (-1)^i
-    rhs = np.zeros(p)
-    rhs[-1] = -h
-    c = np.linalg.solve((Sh @ B + B @ Sh.T)[:, -1].T, rhs)
-    return np.tensordot(c * h ** (2.0 * (p - 1 - k)), B, 1)
+    ratios = [x.as_integer_ratio() for x in model.a[::-1]]
+    den = max(d for _, d in ratios)
+    D = {(i, i + 1): den for i in range(p - 1)} | {(p - 1, j): -n * (den // d) for j, (n, d) in enumerate(ratios)}
+    K = [  # the last-row equations den K c = -den e_p, augmented; D holds the nonzero entries of den A
+        [(-1) ** j * D.get((p - 1, 2 * k - j), 0) - (-1) ** p * D.get((j, 2 * k - p + 1), 0) for k in range(p)]
+        + [-den * (j == p - 1)]
+        for j in range(p)
+    ]
+    prev = 1
+    for k in range(p):
+        K[k:] = sorted(K[k:], key=lambda row: not row[k])  # a nonzero pivot first
+        for i in range(p):
+            if i != k:
+                K[i] = [(K[k][k] * x - K[i][k] * y) // prev for x, y in zip(K[i], K[k])]
+        prev = K[k][k]
+    try:
+        c = np.array([row[p] / row[k] for k, row in enumerate(K)])
+    except OverflowError:
+        raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
+    ij = np.arange(p)[:, None] + np.arange(p)
+    return np.where(ij % 2, 0.0, (-1.0) ** np.arange(p)[:, None] * c[ij // 2])  # Sigma_ij = (-1)^i c_((i+j)/2)
 
 
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
@@ -237,7 +243,7 @@ def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
     rows = np.array([bh @ F for F, _, bh in (sampled_state_space(model, x) for x in h)]).reshape(len(h), p)
     t = h[:, None] ** (p - 1.0 - np.arange(p))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t < np.finfo(float).tiny, b, rows / t)
+        return np.where(t < _TINY, b, rows / t)
 
 
 def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
@@ -304,10 +310,10 @@ def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
     p = model.p
     k = np.arange(p)
     M, s = _van_loan_block(model, delta), 0
-    while _BLOCK_NORM < _norm1(M) < math.inf:
+    while _BLOCK_NORM < (norm := _norm1(M)) < math.inf:
         s += 1
         M = _van_loan_block(model, delta * 2.0**-s)
-    E = _pade13(M)
+    E = _pade13(M) if norm <= _BLOCK_NORM else np.full(M.shape, np.nan)
     F = E[:p, :p]
     Q = E[:p, p:] @ F.T
     d = 2.0 ** (k + 1.0 - p)
@@ -315,7 +321,7 @@ def sampled_state_space(model: CarmaModel, delta: float) -> tuple:
         Q = d[:, None] * (Q + F @ Q @ F.T) * d
         F = d[:, None] * (F @ F) / d
     Q = 0.5 * (Q + Q.T)
-    if not np.diag(Q).min() >= np.finfo(float).tiny:
+    if not np.diag(Q).min() >= _TINY:
         Q = np.full((p, p), np.nan)
     b = delta ** (p - 1.0 - k) * model.b_vector()
     return F, Q, b

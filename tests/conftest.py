@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -81,6 +82,12 @@ COVERAGE_ROOTS = {
 
 def coverage_models():
     return [roots_model(*roots) for roots in COVERAGE_ROOTS.values()]
+
+
+#: a of a fourfold pair of AR roots at damping 1e-3 and modulus 2 (p = 8): its
+#: correctly rounded Sigma is not numerically positive definite.
+_PAIR = 2.0 * complex(-1e-3, math.sqrt(1.0 - 1e-6))
+FOURFOLD_PAIR_A = np.real(np.poly([_PAIR, _PAIR.conjugate()] * 4))[1:]
 
 
 # The one high-precision reference: the state space (A, b, Sigma) in mpmath, from

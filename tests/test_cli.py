@@ -11,7 +11,7 @@ import pytest
 
 from carmahf import cli
 
-from conftest import child_env
+from conftest import FOURFOLD_PAIR_A, child_env
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -105,6 +105,16 @@ class TestModelLoading:
         assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("carmahf: invalid model (non_finite)") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("label", [5, [1, 2], {"x": [1, 2]}], ids=["number", "list", "object"])
+    def test_non_string_label(self, tmp_path, capsys, label):
+        # read as is, a label would come back rewritten: integers as floats
+        path = write_model(tmp_path, {"a": [3.0, 2.0], "b": [1.0], "sigma2": 1.0, "label": label})
+        assert run_cli(["acvf", path, "--delta", "0.1"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("carmahf: invalid model: label must be a JSON string")
+        assert len(captured.err.splitlines()) == 1
 
     def test_non_coprime_rejected(self, tmp_path, capsys):
         path = write_model(tmp_path, {"a": [3.0, 2.0], "b": [1.0, 1.0], "sigma2": 1.0})
@@ -283,6 +293,14 @@ class TestValidate:
         assert header == ["check", "delta", "measured", "tolerance", "status"]
         assert all(r[4] in ("PASS", "WARN") for r in rows)
         assert any(r[0].startswith("mc_acvf") for r in rows)
+
+    def test_sigma_not_positive_definite_is_a_numeric_failure(self, tmp_path, capsys):
+        # the fourfold pair's correctly rounded Sigma fails the Monte Carlo check's Cholesky
+        path = write_model(tmp_path, {"a": FOURFOLD_PAIR_A.tolist(), "b": [1.0], "sigma2": 1.0})
+        args = ["validate", path, "--delta-sweep", "0.01:0.01:0.5", "--length", "800", "--no-timestamp"]
+        assert run_cli(args) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "carmahf: linear algebra failed: Matrix is not positive definite\n"
 
     def test_oscillatory_model_is_coarse_past_nyquist(self, tmp_path, capsys):
         # roots -1 and -0.1 +- 100i: Delta |lambda| = 10 and 1.00005 at Delta = 0.1

@@ -12,7 +12,15 @@ from scipy.integrate import quad
 import carmahf as chf
 from carmahf import CarmaModel, ModelError, core, poly
 
-from conftest import coverage_models, mp_continuous_density, mp_kernel_acvf, mp_sigma, random_stable_model, roots_model
+from conftest import (
+    FOURFOLD_PAIR_A,
+    coverage_models,
+    mp_continuous_density,
+    mp_kernel_acvf,
+    mp_sigma,
+    random_stable_model,
+    roots_model,
+)
 
 DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 EPS = np.finfo(float).eps
@@ -289,17 +297,6 @@ def mp_expm(M):
         return np.array(mp.expm(mp.matrix(M.tolist())).tolist(), dtype=float)
 
 
-def entry_error(got, ref):
-    """max |got_ij - ref_ij| / sqrt(ref_ii ref_jj): each entry judged on the scale of its own variances."""
-    d = np.sqrt(np.diag(ref))
-    return (np.abs(got - ref) / np.outer(d, d)).max()
-
-
-#: Per-entry bound on Sigma for the mpmath cases: the worst measured is 1.6 ulp, over
-#: the spread-root cases ((z+1)^p is exact); the Kronecker solve reached 4.8 ulp.
-SIGMA_ENTRY_BOUND = 16 * EPS
-
-
 def mp_scaled_exp(A, t):
     """T^-1 e^(At) T with T = diag(t^(p-1), ..., t, 1) to 60 digits, rounded to floats."""
     p = len(A)
@@ -480,13 +477,12 @@ class TestStationaryStateCovariance:
         sigma = chf.stationary_state_covariance(carma20)
         assert np.allclose(sigma, [[1 / 12, 0.0], [0.0, 1 / 6]], atol=1e-12)
 
+    # Sigma is the exact solution rounded once, so every test below asks for the
+    # 80-digit reference rounded to floats, bit for bit.
     @pytest.mark.parametrize("a", [[2.0, 1.0], [3.0, 3.0, 1.0], [4.0, 6.0, 4.0, 1.0], [5.0, 10.0, 10.0, 5.0, 1.0]])
     def test_repeated_roots_against_mpmath(self, a):
-        # (z+1)^p: h = 1, so the unscaled system; 16 ulp of the norm and per entry
         m = CarmaModel(a, [1.0])
-        sigma, ref = chf.stationary_state_covariance(m), mp_sigma(m)
-        assert max_rel_error(sigma, ref) <= 16 * EPS
-        assert entry_error(sigma, ref) <= SIGMA_ENTRY_BOUND
+        assert np.array_equal(chf.stationary_state_covariance(m), mp_sigma(m))
 
     # AR roots spread over up to ten decades or far off the real axis, and one
     # p = 5 model with complex roots; the first is the model whose unscaled
@@ -504,38 +500,27 @@ class TestStationaryStateCovariance:
     def test_spread_roots_against_mpmath(self, a):
         m = CarmaModel(a, [1.0])
         sigma = chf.stationary_state_covariance(m)
-        assert entry_error(sigma, mp_sigma(m)) <= SIGMA_ENTRY_BOUND
+        assert np.array_equal(sigma, mp_sigma(m))
         np.linalg.cholesky(sigma)
 
     def test_stiff_variance_is_positive(self):
         m = CarmaModel(self.SPREAD_A[0], [1.0])
-        ref = mp_sigma(m)[0, 0]
-        assert ref == pytest.approx(4.995e-32, rel=1e-3)
-        got = chf.acvf_continuous(m, 0.0)
-        assert got > 0.0
-        assert abs(got - ref) <= SIGMA_ENTRY_BOUND * ref
+        ref = mp_sigma(m)
+        assert ref[0, 0] == pytest.approx(4.995e-32, rel=1e-3)
+        assert np.array_equal(chf.stationary_state_covariance(m), ref)
+        assert chf.acvf_continuous(m, 0.0) == ref[0, 0] > 0.0
 
     def test_random_spread_family(self):
-        # Two seeded families, p <= 10, b = (1) and sigma2 = 1.  Spread (seed
+        # Six seeded families, p <= 10, b = (1) and sigma2 = 1.  Spread (seed
         # 1104, 160 draws): real roots -10^U(-3, 6) and conjugate pairs of
         # modulus 10^U(-3, 6) at a uniform angle, each root or pair repeated
-        # with probability 0.2; the unscaled solve failed plain Cholesky (or
-        # was singular) on 36 of them.  Damped pairs (seeds 7 and 8, 80 draws
-        # each, p >= 2): the last root or pair repeated with probability 0.3,
-        # else a pair r (-zeta +- i sqrt(1 - zeta^2)) with r = 10^U(-3, 6),
+        # with probability 0.2.  Damped pairs (seeds 5 to 9, 80 draws each,
+        # p >= 2): the last root or pair repeated with probability 0.3, else a
+        # pair r (-zeta +- i sqrt(1 - zeta^2)) with r = 10^U(-3, 6) and
         # zeta = 10^U(-3, 0) with probability 0.6, else a real root.  Models
         # that CarmaModel refuses are skipped, never re-drawn; none was, and
-        # each family must keep at least its floor.  Sigma must factor by
-        # plain Cholesky, and every entry meet its family's bound.  The worst
-        # measured is 9.6e-15 on the spread family (bound 1e-12, a margin of
-        # about 100x) and 3.1e-8 (seed 7) and 3.7e-10 (seed 8) on the damped
-        # pairs (bound 1e-7, about 3x).  The p^2-unknown Kronecker solve erred
-        # by 6.8e-5 and by 0.42 on these families at p = 7..10.  The error
-        # grows with the multiplicity of a lightly damped pair and as its
-        # damping falls: other draws hold a threefold pair at damping 0.01
-        # (7.6e-9, spread family, seed 5) or 1.5e-3 (8.0e-5), and higher
-        # multiplicities can be so ill-conditioned that no bound holds: see
-        # test_ill_conditioned_pairs.
+        # each family must keep at least its floor.  Sigma must equal the
+        # reference and factor by plain Cholesky.
         def spread_pair(rng):
             return 10 ** rng.uniform(-3, 6) * np.exp(1j * rng.uniform(np.pi / 2, np.pi))
 
@@ -543,28 +528,24 @@ class TestStationaryStateCovariance:
             r, zeta = 10 ** rng.uniform(-3, 6), 10 ** rng.uniform(-3, 0)
             return r * complex(-zeta, math.sqrt(1.0 - zeta**2))
 
-        families = [
-            (random_models(1104, 160, 1, 0.2, 0.3, spread_pair), 150, 1e-12),
-            (random_models(7, 80, 2, 0.3, 0.6, damped_pair), 75, 1e-7),
-            (random_models(8, 80, 2, 0.3, 0.6, damped_pair), 75, 1e-7),
-        ]
-        for drawn, floor, bound in families:
+        families = [(random_models(1104, 160, 1, 0.2, 0.3, spread_pair), 150)]
+        families += [(random_models(seed, 80, 2, 0.3, 0.6, damped_pair), 75) for seed in (5, 6, 7, 8, 9)]
+        for drawn, floor in families:
             models = [m for m in drawn if m is not None]
             assert len(models) >= floor
             for m in models:
                 sigma = chf.stationary_state_covariance(m)
-                assert entry_error(sigma, mp_sigma(m)) <= bound, m.a
+                assert np.array_equal(sigma, mp_sigma(m)), m.a
                 np.linalg.cholesky(sigma)
 
     # Lightly damped pairs repeated several times, where the map a -> Sigma is
-    # so ill-conditioned that Sigma is wrong in its leading digits: a fourfold
-    # pair at damping 1e-3 and modulus 2 (error 0.95, and plain Cholesky
-    # fails; 1.0 by the Kronecker solve), and the worst model of the
+    # so ill-conditioned that a float solve loses Sigma's leading digits: a
+    # fourfold pair at damping 1e-3 and modulus 2, and the worst model of the
     # damped-pair family at seed 9, a fivefold pair at damping 0.01 and
-    # modulus 1.3e-3 (error 0.14; 0.87 by the Kronecker solve).
-    PAIR = 2.0 * complex(-1e-3, math.sqrt(1.0 - 1e-6))
+    # modulus 1.3e-3.  The fourfold pair's correctly rounded Sigma fails plain
+    # Cholesky, so its simulators raise LinAlgError (test_simulate).
     ILL_CONDITIONED_A = {
-        "fourfold_pair": np.real(np.poly([PAIR, PAIR.conjugate()] * 4))[1:],
+        "fourfold_pair": FOURFOLD_PAIR_A,
         "fivefold_pair": [
             0.0001387093270868829, 8.586456559667685e-06, 9.52176775737641e-10, 2.9477669151403847e-11,
             2.4507321159663143e-15, 5.057637244718152e-17, 2.8030229755828866e-21, 4.3368818087319116e-23,
@@ -572,11 +553,17 @@ class TestStationaryStateCovariance:
         ],
     }
 
-    @pytest.mark.xfail(reason="the map a -> Sigma is too ill-conditioned; no typed error yet")
     @pytest.mark.parametrize("a", ILL_CONDITIONED_A.values(), ids=ILL_CONDITIONED_A)
     def test_ill_conditioned_pairs(self, a):
         m = CarmaModel(a, [1.0])
-        assert entry_error(chf.stationary_state_covariance(m), mp_sigma(m)) <= 1e-6
+        assert np.array_equal(chf.stationary_state_covariance(m), mp_sigma(m))
+
+    def test_overflow_is_a_model_error(self):
+        # a sixteen-fold root -3e-12: the variance c_0 grows like (3e-12)^-31, beyond the float range
+        m = CarmaModel(np.real(np.poly([-3e-12] * 16))[1:], [1.0])
+        with pytest.raises(ModelError, match="float range") as exc:
+            chf.stationary_state_covariance(m)
+        assert exc.value.reason == "sigma_overflow"
 
     def test_lyapunov_residual_and_consistency(self, carma30):
         rng = np.random.default_rng(13)

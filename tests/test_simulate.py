@@ -9,7 +9,7 @@ import carmahf as chf
 from carmahf import CarmaModel, DriverSpec, core, simulate
 from carmahf.simulate import spawn_seeds
 
-from conftest import child_env, corpus
+from conftest import FOURFOLD_PAIR_A, child_env, corpus
 
 
 class TestDriverSpec:
@@ -341,6 +341,20 @@ def test_simulators_draw_one_block_at_a_time(monkeypatch, carma20, run):
     run(carma20)
     ((_, rows),) = calls
     assert [len(r) for r in rows] == [1000, 1000, 499]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m: chf.simulate_gaussian_exact(m, 0.1, 10, seed=1),
+        lambda m: chf.simulate_euler(m, 1e-3, 10, substeps=10, driver=DriverSpec(), seed=1),  # F_E stable
+    ],
+    ids=["exact", "euler"],
+)
+def test_sigma_not_positive_definite_raises(run):
+    # the fourfold pair's correctly rounded Sigma fails plain Cholesky; no jitter hides it
+    with pytest.raises(np.linalg.LinAlgError):
+        run(CarmaModel(FOURFOLD_PAIR_A, [1.0]))
 
 
 class TestEmpiricalFilteredAcvf:
