@@ -20,9 +20,8 @@ print(f"closed-form limit: theta = {lim.theta}, tau2 scale = {lim.tau2_scale:.10
 
 print(f"{'delta':>8} | {'theta_1':>12} | {'tau2 / (s2 d^3)':>16} | {'residual':>9}")
 for delta in (0.5, 0.1, 0.02, 0.004, 0.001):
-    arma = chf.sampled_arma(model, delta)
-    cov = chf.acvf_filtered_sequence(model, delta)
-    res = chf.reconstruction_residual(arma, cov)
+    arma = chf.sampled_arma(model, delta)  # arma.gamma holds the exact filtered covariances it factored
+    res = chf.reconstruction_residual(arma)
     scale = arma.tau2 / (model.sigma2 * delta**3)
     print(f"{delta:8.3f} | {arma.theta[0]:12.8f} | {scale:16.10f} | {res:9.2e}")
 

@@ -16,7 +16,7 @@ delta, n = 0.1, 500_000
 
 # --- exact Gaussian transitions ---------------------------------------------
 res = chf.simulate_gaussian_exact(model, delta, n, seed=12345)
-emp = chf.empirical_filtered_acvf(res, model, lags=3)
+emp = chf.empirical_filtered_acvf(res, lags=3)  # filtered with res.model
 exact = chf.acvf_filtered_sequence(model, delta, n_max=3)
 
 print(f"exact-Gaussian path: n={n}, delta={delta}, seed={res.seed}")
@@ -28,7 +28,7 @@ for h in range(4):
 # --- compound-Poisson driver via Euler ---------------------------------------
 driver = chf.DriverSpec(kind="compound_poisson", jump_rate=5.0, jump_dist="two_point")
 res2 = chf.simulate_euler(model, delta, 200_000, substeps=64, driver=driver, seed=999)
-emp2 = chf.empirical_filtered_acvf(res2, model, lags=1)
+emp2 = chf.empirical_filtered_acvf(res2, lags=1)
 
 print("\ncompound-Poisson driver (same sigma2): second-order structure is unchanged")
 print(f"{'lag':>3} | {'empirical':>12} | {'analytic':>12} | {'dev / SE':>8}")

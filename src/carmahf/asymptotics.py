@@ -83,7 +83,7 @@ def limit_ma_model(d: int) -> AsymptoticMa:
     # int / int divisions, correctly rounded like float(Fraction)
     den = 2 * math.factorial(2 * d - 1)
     theta, tau2 = spectral_factorize([_numerator(d, 0, n) / den for n in range(d)])
-    return AsymptoticMa(d, tuple(theta), tau2)
+    return AsymptoticMa(d, tuple(theta.tolist()), tau2)
 
 
 def _differenced_polynomial(d: int) -> list:

@@ -237,13 +237,23 @@ def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
     """The rows b^T e^(A h) = (b_h^T F) T^-1 for lags h != 0, with (F, Q, b_h) the sampled system at h.
 
     T = diag(h^(p-1), ..., h, 1).  Where h^(p-1-k) is not a normal float,
-    h ||A|| is far below rounding and the entry is b_k itself.
+    h ||A|| is far below rounding and the entry is b_k itself.  A finite lag
+    whose row is not finite, as past the float range of the block or of T, is read
+    as (e^(A x))^(h/x): T F T^-1 at the largest finite x = h / 2^s, squared s times.
     """
     p, b = model.p, model.b_vector()
-    rows = np.array([bh @ F for F, _, bh in (sampled_state_space(model, x) for x in h)]).reshape(len(h), p)
-    t = h[:, None] ** (p - 1.0 - np.arange(p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t < _TINY, b, rows / t)
+    k = p - 1.0 - np.arange(p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows = np.array([bh @ F for F, _, bh in (sampled_state_space(model, x) for x in h)]).reshape(len(h), p)
+        t = h[:, None] ** k
+        rows = np.where(t < _TINY, b, rows / t)
+        for i in np.flatnonzero(~np.isfinite(rows).all(1) & np.isfinite(h)):
+            x, E = h[i], np.nan
+            while not np.isfinite(E).all():
+                x /= 2.0
+                E = (x**k)[:, None] * sampled_state_space(model, x)[0] / x**k
+            rows[i] = b @ np.linalg.matrix_power(E, int(h[i] / x))
+    return rows
 
 
 def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:

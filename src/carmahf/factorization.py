@@ -17,7 +17,6 @@ import numpy as np
 
 from . import poly, sampling
 from .core import CarmaModel
-from .sampling import CovSequence
 
 #: theta roots this close to the unit circle mark the non-invertible boundary.
 BOUNDARY_TOL = 1e-8
@@ -36,15 +35,16 @@ class FactorizationError(RuntimeError):
 class SampledArma:
     """ARMA(p, p-1) representation of the sampled sequence at grid size delta.
 
-    ``phi`` are the AR coefficients (A_0=1, ..., A_p), ``theta`` the MA
-    coefficients (theta_1, ..., theta_{p-1}) of an invertible theta(B), and
-    ``tau2`` the innovation variance.  ``boundary`` is True when theta(B) has
-    a root within ``BOUNDARY_TOL`` of the unit circle, i.e. it is only the
-    non-invertible limit.
+    ``phi`` are the AR coefficients (A_0=1, ..., A_p), ``gamma`` the exact
+    gamma_MA(0..p-1) that was factored into the MA coefficients ``theta``
+    (theta_1, ..., theta_{p-1}) of an invertible theta(B) and the innovation
+    variance ``tau2``.  ``boundary`` is True when theta(B) has a root within
+    ``BOUNDARY_TOL`` of the unit circle, i.e. it is only the non-invertible limit.
     """
 
     delta: float
     phi: tuple
+    gamma: tuple
     theta: tuple
     tau2: float
     boundary: bool = False
@@ -144,12 +144,10 @@ def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:
     """Full chain: filter coefficients, exact gamma_MA, spectral factorization."""
     phi, gamma = sampling._filter_and_acvf(model, delta)
     theta, tau2, boundary = _factorize(gamma)
-    return SampledArma(delta=delta, phi=tuple(phi), theta=tuple(theta), tau2=tau2, boundary=boundary)
+    return SampledArma(delta, tuple(phi.tolist()), tuple(gamma), tuple(theta.tolist()), tau2, boundary)
 
 
-def reconstruction_residual(arma: SampledArma, cov: CovSequence) -> float:
-    """Max relative deviation of the reconstructed autocovariances."""
-    gamma = np.asarray(cov.values)
-    rec = reconstruct_acvf(arma.theta, arma.tau2)
-    k = min(len(rec), len(gamma))
-    return float(np.max(np.abs(rec[:k] - gamma[:k])) / np.abs(gamma[0]))
+def reconstruction_residual(arma: SampledArma) -> float:
+    """Max deviation of the autocovariances of (theta, tau2) from ``arma.gamma``, relative to gamma(0)."""
+    rec = reconstruct_acvf(arma.theta, arma.tau2)  # theta may stop short of p - 1 where gamma_MA is 0
+    return float(np.max(np.abs(rec - arma.gamma[: len(rec)])) / abs(arma.gamma[0]))

@@ -33,18 +33,13 @@ class CoarseSamplingWarning(UserWarning):
 class CovSequence:
     """Finite autocovariance list gamma(0..n_max) on a Delta-grid.
 
-    ``provenance`` is "exact" or "empirical"; empirical sequences carry
-    per-lag standard errors.
+    An empirical sequence carries per-lag standard errors in ``stderr``; an
+    exact one has ``stderr`` None.
     """
 
     delta: float
     values: tuple
-    provenance: str
     stderr: tuple | None = None
-
-    def __post_init__(self):
-        if self.provenance not in ("exact", "empirical"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def coarseness(model: CarmaModel, delta: float) -> float:
@@ -142,4 +137,4 @@ def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = 
         raise ValueError("lag must be non-negative")
     gamma = _filter_and_acvf(model, delta)[1]
     vals = tuple(gamma[n] if n < model.p else 0.0 for n in range(n_max + 1))
-    return CovSequence(delta=delta, values=vals, provenance="exact")
+    return CovSequence(delta=delta, values=vals)

@@ -60,6 +60,9 @@ class DriverSpec:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A simulated path y on the Delta-grid, with the model, seed and scheme that drew it."""
+
+    model: CarmaModel
     delta: float
     y: np.ndarray
     seed: int
@@ -125,7 +128,7 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Ls = np.linalg.cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
     y = _propagate(b, F, lambda k: rng.standard_normal((k, p)) @ Lq.T, n - 1, x0)[0]
-    return SimulationResult(delta=delta, y=y, seed=seed, scheme="exact_gaussian")
+    return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
 def _driver_increments(rng, driver: DriverSpec, sigma2: float, dt: float, shape: tuple) -> np.ndarray:
@@ -182,23 +185,23 @@ def simulate_euler(
         return v
 
     y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), draw, n - 1, x0)[0]
-    return SimulationResult(delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
+    return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
 
 
-def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: int) -> CovSequence:
-    """Sample autocovariances (biased) of the filtered simulated series.
+def empirical_filtered_acvf(result: SimulationResult, lags: int) -> CovSequence:
+    """Sample autocovariances (biased) of the filtered simulated series, lags 0..lags.
 
-    Applies the annihilating filter from :func:`sampling.filter_coefficients`
-    and attaches Bartlett-formula standard errors appropriate for an MA(p-1)
-    sequence.
+    Applies the annihilating filter of the model that drew the path
+    (:func:`sampling.filter_coefficients` of ``result.model``) and attaches
+    Bartlett-formula standard errors appropriate for an MA(p-1) sequence.
     """
     if lags < 0:
         raise ValueError("lag must be non-negative")
     y = np.asarray(result.y, dtype=float)
-    p = model.p
+    p = result.model.p
     if len(y) < MIN_LENGTH_PER_ORDER * p:
         raise ValueError(f"series too short: need at least {MIN_LENGTH_PER_ORDER * p} points")
-    u = np.convolve(y, sampling._filter_and_acvf(model, result.delta)[0], mode="valid")
+    u = np.convolve(y, sampling._filter_and_acvf(result.model, result.delta)[0], mode="valid")
     u = u - u.mean()
     n = len(u)
     gam = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(max(lags, p - 1) + 1)])
@@ -214,6 +217,4 @@ def empirical_filtered_acvf(result: SimulationResult, model: CarmaModel, lags: i
     for h in range(lags + 1):
         s = sum(g(j) ** 2 + g(j + h) * g(j - h) for j in range(-m - lags, m + lags + 1))
         se[h] = np.sqrt(max(s, 0.0) / n)
-    return CovSequence(
-        delta=result.delta, values=tuple(gam[: lags + 1]), provenance="empirical", stderr=tuple(se)
-    )
+    return CovSequence(delta=result.delta, values=tuple(gam[: lags + 1].tolist()), stderr=tuple(se.tolist()))

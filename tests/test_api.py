@@ -75,3 +75,17 @@ def test_readme_lists_the_public_api():
     listed = {re.match(r"`carmahf\.(\w+)`", b)[1]: set(re.findall(r"`(\w+)`", b)) for b in bullets}
     assert listed == {module: set(names) for module, names in carmahf._EXPORTS.items()}
     assert set().union(*listed.values()) == set(carmahf.__all__)
+
+
+def test_records_hold_python_floats(carma21):
+    # .tolist() is exact, so each element is the computed value itself, and no
+    # repr shows numpy 2's np.float64(...)
+    path = carmahf.simulate_gaussian_exact(carma21, 0.1, 1000, seed=1)
+    arma = carmahf.sampled_arma(carma21, 0.01)
+    limit = carmahf.limit_ma_model(3)  # carma21's d = 1 has no theta
+    exact = carmahf.acvf_filtered_sequence(carma21, 0.01)
+    empirical = carmahf.empirical_filtered_acvf(path, 1)
+    values = [*arma.phi, *arma.gamma, *arma.theta, arma.tau2, *limit.theta, limit.tau2_scale, *exact.values,
+              *empirical.values, *empirical.stderr]
+    assert len(values) == 16 and all(type(x) is float for x in values)
+    assert not any("np.float64" in repr(r) for r in (path, arma, limit, exact, empirical))

@@ -193,6 +193,15 @@ class TestSpectrum:
         assert origin["carma21"] == 0.0
         assert origin["carma20"] > 0.0
 
+    @pytest.mark.parametrize("name, omega_max", [("carma20", 240.0), ("carma30", 40.0)])
+    def test_default_continuous_window(self, capsys, name, omega_max):
+        # d = p - q >= 2: the window 10 (1 + max|lambda|) doubles until the tail test passes,
+        # far below the 1e6 cap that carma21 (d = 1) reaches
+        assert run_cli(["spectrum", str(MODELS / f"{name}.json"), "--which", "continuous", "--no-timestamp"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1001
+        assert -float(rows[0][0]) == float(rows[-1][0]) == pytest.approx(omega_max, rel=1e-15)
+
     def test_bad_grid(self, model_file):
         assert run_cli(
             ["spectrum", model_file, "--which", "continuous", "--grid-points", "1"]
@@ -325,8 +334,6 @@ class TestValidate:
         (["sampled-arma", "--delta", "0"], "--delta must be finite and > 0"),
         (["validate", "--length", "0"], "--length must be >= 200"),
         (["validate", "--length", "50"], "--length must be >= 200"),
-        (["validate", "--paths", "0"], "--paths must be >= 1"),
-        (["validate", "--paths", "-1"], "--paths must be >= 1"),
         (["validate", "--seed", "-1"], "--seed must be >= 0"),
         (["validate", "--delta-sweep", "0.001:0.01:0.5"], "--delta-sweep requires finite start >= stop"),
         (["validate", "--delta-sweep", "inf:0.001:0.5"], "--delta-sweep requires finite start >= stop"),
@@ -337,7 +344,7 @@ class TestValidate:
     ],
     ids=[
         "acvf-delta-0", "acvf-delta-inf", "acvf-lags", "spectrum-delta-neg", "spectrum-delta-nan",
-        "sampled-arma-delta", "length-0", "length-50", "paths-0", "paths-neg", "seed-neg",
+        "sampled-arma-delta", "length-0", "length-50", "seed-neg",
         "sweep-rising", "sweep-inf", "sweep-nan", "omega-max-nan", "omega-max-inf", "omega-max-neg",
     ],
 )

@@ -185,6 +185,10 @@ class TestKernelDerivativesAtZero:
         m20 = CarmaModel([3, 2], [1])
         assert [chf.kernel_derivative_at_zero(m20, k) for k in range(2)] == pytest.approx([0, 1])
 
+    def test_negative_order_rejected(self, carma20):
+        with pytest.raises(ValueError, match="non-negative"):
+            chf.kernel_derivative_at_zero(carma20, -1)
+
     def test_pattern_all_orders(self):
         # 0 for k < p-q-1 and 1 at k = p-q-1, for every p <= 6, q < p
         rng = np.random.default_rng(11)
@@ -428,6 +432,24 @@ class TestEdgeLags:
     def test_nan_time(self, carma21):
         assert np.isnan(chf.kernel_values(carma21, [0.5, np.nan])).tolist() == [False, True]
         assert np.isnan(chf.acvf_continuous(carma21, [0.5, np.nan])).tolist() == [False, True]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, b, lags",
+        [
+            ([3.0, 2.0], [1.0, 1.0], [1e150, 1e200, 1e300]),
+            ([15.0, 85.0, 225.0, 274.0, 120.0], [1.0], [1e61, 1e62, 1e100]),
+        ],
+        ids=["carma21", "roots-1..-5"],
+    )
+    def test_lags_beyond_the_scaled_range(self, a, b, lags):
+        # The Van Loan block of h overflows past h ~ 9.5e153 (carma21) and ~1.1e61 (AR roots
+        # -1..-5); the first lag is just inside.  Every value underflows to 0, with no warning.
+        m = CarmaModel(a, b)
+        h = [*lags, *(-x for x in lags)]
+        assert chf.kernel_values(m, h).tolist() == chf.acvf_continuous(m, h).tolist() == [0.0] * 6
+        g_ref, gamma_ref = mp_kernel_acvf(m, lags[:1])
+        assert chf.kernel_values(m, lags[0]) == g_ref[0] and chf.acvf_continuous(m, lags[0]) == gamma_ref[0]
 
     @pytest.mark.parametrize("a, b", [([3.0, 2.0], [1.5, 1.0]), ([4.0, 6.0, 4.0, 1.0], [0.5, 1.0])])
     def test_infinite_lag_is_the_limit(self, a, b):

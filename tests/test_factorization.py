@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -74,6 +76,11 @@ class TestSpectralFactorize:
     def test_nonpositive_gamma0(self):
         with pytest.raises(FactorizationError):
             chf.spectral_factorize([-1.0, 0.1])
+
+    @pytest.mark.parametrize("cov", [[], np.ones((2, 2))], ids=["empty", "2-d"])
+    def test_not_a_sequence(self, cov):
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            chf.spectral_factorize(cov)
 
     def test_boundary_root_warns(self):
         # gamma of (1 - B) white noise: unit-circle spectral root
@@ -200,8 +207,8 @@ class TestSampledArma:
         for m in corpus():
             d = 0.1
             arma = chf.sampled_arma(m, d)
-            cov = chf.acvf_filtered_sequence(m, d)
-            assert chf.reconstruction_residual(arma, cov) < 1e-10
+            assert arma.gamma == chf.acvf_filtered_sequence(m, d).values
+            assert chf.reconstruction_residual(arma) < 1e-10
 
     def test_boundary_flag_set(self):
         # theta_1 = -1 + 1.0e-8 at delta = 1e-5 (50-digit oracle): float gamma
@@ -216,8 +223,8 @@ class TestSampledArma:
     def test_repeated_roots_supported(self):
         m = CarmaModel([2.0, 1.0], [1.0])
         arma = chf.sampled_arma(m, 0.05)
-        cov = chf.acvf_filtered_sequence(m, 0.05)
-        assert chf.reconstruction_residual(arma, cov) < 1e-9
+        assert arma.gamma == chf.acvf_filtered_sequence(m, 0.05).values
+        assert chf.reconstruction_residual(arma) < 1e-9
 
 
 def _strictly_invertible(theta) -> bool:
@@ -241,8 +248,8 @@ class TestSmallDelta:
             m = random_stable_model(rng, 5)
             arma = chf.sampled_arma(m, delta)
             assert _strictly_invertible(arma.theta)
-            cov = chf.acvf_filtered_sequence(m, delta)
-            assert chf.reconstruction_residual(arma, cov) <= 1e-12
+            assert arma.gamma == chf.acvf_filtered_sequence(m, delta).values
+            assert chf.reconstruction_residual(arma) <= 1e-12
 
     @pytest.mark.parametrize(
         "a, b, sigma2, delta",
@@ -268,9 +275,9 @@ class TestSmallDelta:
         monkeypatch.setattr(core, "_pade13", perturbed)
         m = CarmaModel(a, b, sigma2=sigma2)
         for _ in range(40):
-            arma = chf.sampled_arma(m, delta)
-            cov = chf.acvf_filtered_sequence(m, delta)
-            assert chf.reconstruction_residual(arma, cov) <= 1e-12
+            # theta and tau2 against gamma_MA from other perturbed exponentials
+            arma = replace(chf.sampled_arma(m, delta), gamma=chf.acvf_filtered_sequence(m, delta).values)
+            assert chf.reconstruction_residual(arma) <= 1e-12
 
     def test_near_boundary_resolved(self):
         # 60-digit reference: theta_1 + 1 = 1.0017e-7; the root is off the circle

@@ -28,13 +28,8 @@ def assert_density_close(m, delta):
 
 
 class TestCovSequence:
-    def test_provenance_guard(self):
-        for provenance in ("guessed", "asymptotic"):
-            with pytest.raises(ValueError):
-                CovSequence(delta=0.1, values=(1.0,), provenance=provenance)
-
     def test_ok(self):
-        c = CovSequence(delta=0.1, values=(1.0, 0.5), provenance="exact")
+        c = CovSequence(delta=0.1, values=(1.0, 0.5))
         assert c.stderr is None
 
 
@@ -69,7 +64,7 @@ class TestGridChecks:
         "call",
         [
             lambda m: chf.filter_coefficients(m, 0.6),
-            lambda m: chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, 0.6, 200, seed=0), m, 2),
+            lambda m: chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, 0.6, 200, seed=0), 2),
         ],
         ids=["filter_coefficients", "empirical_filtered_acvf"],
     )
@@ -239,7 +234,7 @@ class TestAcvfFiltered:
 
     def test_sequence(self, carma30):
         cov = chf.acvf_filtered_sequence(carma30, 0.1)
-        assert cov.provenance == "exact"
+        assert cov.stderr is None
         assert len(cov.values) == 3
         assert cov.values == chf.acvf_filtered_sequence(carma30, 0.1, n_max=4).values[:3]
 

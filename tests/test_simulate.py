@@ -361,16 +361,16 @@ class TestEmpiricalFilteredAcvf:
     def test_matches_exact_within_stderr(self, carma20):
         d = 0.1
         r = chf.simulate_gaussian_exact(carma20, d, 500_000, seed=12345)
-        emp = chf.empirical_filtered_acvf(r, carma20, lags=3)
+        emp = chf.empirical_filtered_acvf(r, lags=3)
         exact = chf.acvf_filtered_sequence(carma20, d, n_max=3)
         for h in range(4):
             dev = (emp.values[h] - exact.values[h]) / emp.stderr[h]
             assert abs(dev) < 4.0
 
-    def test_provenance_and_shapes(self, ou):
+    def test_model_and_shapes(self, ou):
         r = chf.simulate_gaussian_exact(ou, 0.1, 10_000, seed=2)
-        emp = chf.empirical_filtered_acvf(r, ou, lags=2)
-        assert emp.provenance == "empirical"
+        emp = chf.empirical_filtered_acvf(r, lags=2)
+        assert r.model is ou
         assert len(emp.values) == 3
         assert len(emp.stderr) == 3
         assert all(s > 0 for s in emp.stderr)
@@ -379,9 +379,9 @@ class TestEmpiricalFilteredAcvf:
     def test_rejects_negative_lags(self, ou, lags):
         r = chf.simulate_gaussian_exact(ou, 0.1, 1_000, seed=2)
         with pytest.raises(ValueError, match="lag must be non-negative"):
-            chf.empirical_filtered_acvf(r, ou, lags=lags)
+            chf.empirical_filtered_acvf(r, lags=lags)
 
     def test_series_too_short(self, carma30):
         r = chf.simulate_gaussian_exact(carma30, 0.1, 200, seed=3)
         with pytest.raises(ValueError, match="too short"):
-            chf.empirical_filtered_acvf(r, carma30, lags=2)
+            chf.empirical_filtered_acvf(r, lags=2)
