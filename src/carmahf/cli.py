@@ -125,9 +125,8 @@ def _auto_omega_max(model: CarmaModel) -> float:
 
 def cmd_spectrum(args, model: CarmaModel) -> tuple:
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
-    _require(0 <= args.omega_max < np.inf, "--omega-max must be finite and >= 0")
     if args.which == "continuous":
-        omax = args.omega_max if args.omega_max else _auto_omega_max(model)
+        omax = _auto_omega_max(model)
         grid = np.linspace(-omax, omax, args.grid_points)
         vals = core.spectral_density_continuous(model, grid)
     else:
@@ -154,23 +153,6 @@ def cmd_sampled_arma(args, model: CarmaModel) -> tuple:
     return {"delta": args.delta}, ["quantity", "index", "value"], rows
 
 
-def _parse_sweep(text: str) -> list:
-    try:
-        start, stop, factor = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise CliError(EXIT_VALIDATION, "--delta-sweep must be start:stop:factor")
-    _require(
-        0 < stop <= start < np.inf and 0 < factor < 1,
-        "--delta-sweep requires finite start >= stop > 0 and factor in (0, 1)",
-    )
-    deltas = []
-    d = start
-    while d >= stop * (1.0 - 1e-12):
-        deltas.append(d)
-        d *= factor
-    return deltas
-
-
 def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
     """Exact-vs-asymptotic ratio checks for one grid size, and the exact gamma_MA."""
     from . import asymptotics
@@ -195,14 +177,14 @@ def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
 def cmd_validate(args, model: CarmaModel) -> tuple:
     from . import simulate
 
-    deltas = _parse_sweep(args.delta_sweep)
+    deltas = sorted(args.delta_sweep, reverse=True)
     _require(args.seed >= 0, "--seed must be >= 0")
     min_length = simulate.MIN_LENGTH_PER_ORDER * model.p
     _require(args.length >= min_length, f"--length must be >= {min_length} for a p = {model.p} model")
     sweep = [_validate_one_delta(model, d) for d in deltas]
     rows = [row for checks, _ in sweep for row in checks]
 
-    # Monte Carlo on one path (the first child seed) vs the sweep's exact gamma_MA at the coarsest delta.
+    # Monte Carlo on one path (the first child seed) vs the sweep's exact gamma_MA at the largest delta.
     d0, exact = deltas[0], sweep[0][1]
     res = simulate.simulate_gaussian_exact(model, d0, args.length, simulate.spawn_seeds(args.seed, 1)[0])
     emp = simulate.empirical_filtered_acvf(res, lags=model.p - 1)
@@ -239,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--which", choices=["continuous", "sampled", "filtered", "asymptotic"], required=True)
     sp.add_argument("--grid-points", type=int, default=1001)
-    sp.add_argument("--omega-max", type=float, default=0.0, help="window for the continuous spectrum (0 = auto)")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("sampled-arma", help="ARMA representation of the sampled process")
@@ -249,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="exact/asymptotic/Monte Carlo cross-checks")
     common(sp)
-    sp.add_argument("--delta-sweep", default="0.01:0.001:0.5", help="start:stop:factor")
+    sp.add_argument("--delta-sweep", type=float, nargs="+", default=[0.01, 0.005, 0.0025, 0.00125], metavar="DELTA",
+                    help="grid sizes to check; the Monte Carlo runs at the largest")
     sp.add_argument("--seed", type=int, default=20260824)
     sp.add_argument("--length", type=int, default=100000)
     sp.set_defaults(func=cmd_validate)
@@ -258,15 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Load the model, check --delta, run one ``cmd_*`` for its rows, emit; map typed errors to exit codes."""
+    """Load the model, check each delta, run one ``cmd_*`` for its rows, emit; map typed errors to exit codes."""
     args = build_parser().parse_args(argv)
     # _require_finite turns every non-finite result into exit 3, so numpy's
-    # float warnings are noise; the others print one line each after a success.
+    # float warnings are noise; the others print one line each once the rows are written.
     try:
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
             model = load_model(args.model)
-            if "delta" in args:
-                _require(0 < args.delta < np.inf, "--delta must be finite and > 0")
+            flag, deltas = ("--delta-sweep", args.delta_sweep) if "delta_sweep" in args else ("--delta", [args.delta])
+            _require(all(0 < d < np.inf for d in deltas), f"{flag} must be finite and > 0")
             meta, columns, rows = args.func(args, model)
             _emit(args, {"model": _model_echo(model), **meta}, columns, rows)
     except CliError as exc:
@@ -282,11 +264,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a covariance that is not numerically positive definite
         code, message = EXIT_NUMERIC, f"linear algebra failed: {exc}"
     else:
-        if columns[-1] == "status" and any(r[-1] == "FAIL" for r in rows):  # a failed validate check
-            return EXIT_NUMERIC
         for w in caught:
             print(f"carmahf: warning: {w.message}", file=sys.stderr)
-        return 0
+        failed = columns[-1] == "status" and any(r[-1] == "FAIL" for r in rows)  # a failed validate check
+        return EXIT_NUMERIC if failed else 0
     print(f"carmahf: {message}", file=sys.stderr)
     return code
 

@@ -88,7 +88,8 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     if m == 0:
         return np.zeros(0), float(gamma[0]), False
 
-    # The one PSD rule: a spectrum negative beyond rounding leaves theta not real.
+    # The one PSD rule: S(w) has no real root on (-2, 2), the image of the unit
+    # circle, beyond rounding.
     s = _w_polynomial(gamma.tolist())
     theta, boundary = _theta(s)
     if theta is None:
@@ -121,14 +122,20 @@ def _w_polynomial(gamma: list) -> list:
 
 
 def _theta(s: list) -> tuple[np.ndarray | None, bool]:
-    """theta from the roots of S(w), or None when it is not real; and the boundary flag."""
+    """theta from the roots of S(w), or None when it is not real; and the boundary flag.
+
+    theta is not real exactly when S has a real root in (-2, 2), a zero of the
+    spectrum on the unit circle whose r has |r| = 1 and no conjugate partner;
+    every other root is real with |w| >= 2 or one of an exactly conjugate pair.
+    """
+    roots = poly.find_roots(s).tolist()
+    if any(w.imag == 0.0 and -2.0 < w.real < 2.0 for w in roots):
+        return None, False
     r = []
-    for w in poly.find_roots(s).tolist():
+    for w in roots:
         root = cmath.sqrt((w - 2.0) * (w + 2.0))
         r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
     c = _unit_product(r)
-    if max(abs(x.imag) for x in c) > 1e-8 * max(abs(x) for x in c):
-        return None, False
     return np.array([x.real for x in c[1:]]), any(abs(abs(x) - 1.0) <= BOUNDARY_TOL for x in r)
 
 

@@ -193,6 +193,12 @@ class TestSpectrum:
         assert origin["carma21"] == 0.0
         assert origin["carma20"] > 0.0
 
+    def test_no_window_option(self, model_file):
+        # the continuous window is worked out from the model
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", model_file, "--which", "continuous", "--omega-max", "5"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+
     @pytest.mark.parametrize("name, omega_max", [("carma20", 240.0), ("carma30", 40.0)])
     def test_default_continuous_window(self, capsys, name, omega_max):
         # d = p - q >= 2: the window 10 (1 + max|lambda|) doubles until the tail test passes,
@@ -245,17 +251,21 @@ def test_overflowing_delta_is_a_numeric_failure(args, capsys):
 
 
 @pytest.mark.parametrize(
-    "delta, code, prefix",
+    "args, code, prefix",
     [
-        ("1e200", cli.EXIT_NUMERIC, "carmahf: the autocovariance is not finite"),
-        ("5", 0, "carmahf: warning: delta=5.0 is coarse"),
+        (["acvf", CARMA30, "--delta", "1e200", "--lags", "2"], cli.EXIT_NUMERIC,
+         "carmahf: the autocovariance is not finite"),
+        (["acvf", CARMA30, "--delta", "5", "--lags", "2"], 0, "carmahf: warning: delta=5.0 is coarse"),
+        # carma30 fails its ratio checks; the Monte Carlo at delta = 0.5 still reports its warning
+        (["validate", CARMA30, "--delta-sweep", "0.5", "0.01", "--length", "2000"], cli.EXIT_NUMERIC,
+         "carmahf: warning: delta=0.5 is coarse"),
     ],
-    ids=["overflow", "coarse"],
+    ids=["overflow", "coarse", "validate-fail"],
 )
-def test_stderr_is_one_line(delta, code, prefix):
+def test_stderr_is_one_line(args, code, prefix):
     # A child process, because in process pytest captures the warnings that used to reach stderr.
     proc = subprocess.run(
-        [sys.executable, "-m", "carmahf.cli", "acvf", CARMA30, "--delta", delta, "--lags", "2", "--no-timestamp"],
+        [sys.executable, "-m", "carmahf.cli", *args, "--no-timestamp"],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -289,13 +299,15 @@ def test_coarse_delta_is_exact(capsys):
 
 
 class TestValidate:
-    def test_sweep_parsing_error(self, model_file):
-        assert run_cli(["validate", model_file, "--delta-sweep", "bogus"]) == cli.EXIT_VALIDATION
-        assert run_cli(["validate", model_file, "--delta-sweep", "0.1:0.01:2"]) == cli.EXIT_VALIDATION
+    def test_sweep_parsing_error(self, model_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["validate", model_file, "--delta-sweep", "0.01", "bogus"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "error: argument --delta-sweep: invalid float value: 'bogus'" in capsys.readouterr().err
 
     def test_full_run_passes(self, model_file, capsys):
         assert run_cli(
-            ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5",
+            ["validate", model_file, "--delta-sweep", "0.004", "0.002", "0.001",
              "--length", "120000", "--seed", "42", "--no-timestamp"]
         ) == 0
         _, header, rows = parse_csv(capsys.readouterr().out)
@@ -306,7 +318,7 @@ class TestValidate:
     def test_sigma_not_positive_definite_is_a_numeric_failure(self, tmp_path, capsys):
         # the fourfold pair's correctly rounded Sigma fails the Monte Carlo check's Cholesky
         path = write_model(tmp_path, {"a": FOURFOLD_PAIR_A.tolist(), "b": [1.0], "sigma2": 1.0})
-        args = ["validate", path, "--delta-sweep", "0.01:0.01:0.5", "--length", "800", "--no-timestamp"]
+        args = ["validate", path, "--delta-sweep", "0.01", "--length", "800", "--no-timestamp"]
         assert run_cli(args) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == "carmahf: linear algebra failed: Matrix is not positive definite\n"
@@ -315,12 +327,19 @@ class TestValidate:
         # roots -1 and -0.1 +- 100i: Delta |lambda| = 10 and 1.00005 at Delta = 0.1
         # and 0.01, so those ratio rows are WARN; Delta * max|Re lambda| read 0.1 and FAIL
         path = write_model(tmp_path, {"a": [1.2, 10000.21, 10000.01], "b": [1.0], "sigma2": 1.0})
-        assert run_cli(["validate", path, "--delta-sweep", "0.1:0.001:0.1", "--no-timestamp"]) == 0
-        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert run_cli(["validate", path, "--delta-sweep", "0.1", "0.01", "0.001", "--no-timestamp"]) == 0
+        out = capsys.readouterr().out
+        _, _, rows = parse_csv(out)
+        # the rows carry the values typed, and the Monte Carlo runs at the largest
+        assert {r[1] for r in rows} == {"0.1", "0.01", "0.001"}
+        assert {r[1] for r in rows if r[0].startswith("mc_")} == {"0.1"}
         ratio_rows = [(float(r[1]), r[4]) for r in rows if not r[0].startswith("mc_")]
         assert [s for d, s in ratio_rows if d > 0.005] == ["WARN"] * 12
         assert {s for d, s in ratio_rows if d < 0.005} == {"PASS"}
         assert {r[4] for r in rows if r[0].startswith("mc_")} == {"PASS"}
+        # the order typed does not matter
+        assert run_cli(["validate", path, "--delta-sweep", "0.001", "0.1", "0.01", "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(
@@ -335,17 +354,13 @@ class TestValidate:
         (["validate", "--length", "0"], "--length must be >= 200"),
         (["validate", "--length", "50"], "--length must be >= 200"),
         (["validate", "--seed", "-1"], "--seed must be >= 0"),
-        (["validate", "--delta-sweep", "0.001:0.01:0.5"], "--delta-sweep requires finite start >= stop"),
-        (["validate", "--delta-sweep", "inf:0.001:0.5"], "--delta-sweep requires finite start >= stop"),
-        (["validate", "--delta-sweep", "nan:0.001:0.5"], "--delta-sweep requires finite start >= stop"),
-        (["spectrum", "--which", "continuous", "--omega-max", "nan"], "--omega-max must be finite and >= 0"),
-        (["spectrum", "--which", "continuous", "--omega-max", "inf"], "--omega-max must be finite and >= 0"),
-        (["spectrum", "--which", "continuous", "--omega-max", "-1"], "--omega-max must be finite and >= 0"),
+        (["validate", "--delta-sweep", "0.01", "0"], "--delta-sweep must be finite and > 0"),
+        (["validate", "--delta-sweep", "inf", "0.001"], "--delta-sweep must be finite and > 0"),
+        (["validate", "--delta-sweep", "0.01", "nan", "0.001"], "--delta-sweep must be finite and > 0"),
     ],
     ids=[
         "acvf-delta-0", "acvf-delta-inf", "acvf-lags", "spectrum-delta-neg", "spectrum-delta-nan",
-        "sampled-arma-delta", "length-0", "length-50", "seed-neg",
-        "sweep-rising", "sweep-inf", "sweep-nan", "omega-max-nan", "omega-max-inf", "omega-max-neg",
+        "sampled-arma-delta", "length-0", "length-50", "seed-neg", "sweep-0", "sweep-inf", "sweep-nan",
     ],
 )
 def test_bad_numeric_argument_rejected(model_file, capsys, args, message):
@@ -388,7 +403,7 @@ class TestEntryPoint:
             ["sampled-arma", model_file, "--delta", "0.01"],
             ["spectrum", model_file, "--which", "filtered", "--grid-points", "5"],
             ["acvf", model_file, "--delta", "0.01", "--lags", "1", "--mode", "asymptotic"],
-            ["validate", model_file, "--delta-sweep", "0.004:0.001:0.5", "--length", "120000", "--seed", "42"],
+            ["validate", model_file, "--delta-sweep", "0.004", "0.002", "0.001", "--length", "120000", "--seed", "42"],
         ]
         code = (
             "import sys, numpy\n"

@@ -6,7 +6,7 @@ from mpmath import mp
 
 import carmahf as chf
 from carmahf import CarmaModel, FactorizationError, core, poly
-from carmahf.factorization import _unit_product, _w_polynomial, reconstruct_acvf
+from carmahf.factorization import _theta, _unit_product, _w_polynomial, reconstruct_acvf
 
 from conftest import COVERAGE_ROOTS, corpus, mp_gamma_ma, mp_theta, random_stable_model, roots_model
 
@@ -112,6 +112,16 @@ class TestWForm:
             want[: n + 1] += gamma[n] * d_n(n)
         scale = np.sum(np.abs(gamma)) * 2.0**m
         assert np.max(np.abs(np.array(_w_polynomial(list(gamma))) - want)) <= 8 * np.finfo(float).eps * scale
+
+    def test_real_root_on_the_segment_is_not_real(self):
+        # S(w) = (w - 1)(w - 3): the simple root w = 1 is a sign change of the spectrum at omega = pi/3
+        assert _theta([3.0, -4.0, 1.0]) == (None, False)
+
+    def test_pair_just_off_the_segment_is_the_boundary(self):
+        # S(w) = w^2 + 1e-18, theta(B) = 1 + B^2 lifted: the roots +-1e-9 i give conjugate r, |r| - 1 = 5e-10
+        theta, boundary = _theta([1e-18, 0.0, 1.0])
+        assert boundary
+        assert theta.tolist() == pytest.approx([0.0, 1.0], abs=1e-8)
 
     def test_unit_product_matches_np_poly(self):
         rng = np.random.default_rng(5)
