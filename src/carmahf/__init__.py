@@ -25,7 +25,7 @@ _EXPORTS = {
              "spectral_density_continuous", "stationary_state_covariance", "validate"),
     "factorization": ("FactorizationError", "SampledArma", "reconstruct_acvf", "reconstruction_residual",
                       "sampled_arma", "spectral_factorize"),
-    "poly": ("coprime", "find_roots", "is_stable"),
+    "poly": ("find_roots",),
     "sampling": ("CoarseSamplingWarning", "CovSequence", "acvf_filtered_sequence", "filter_coefficients",
                  "power_transfer", "spectral_density_filtered", "spectral_density_sampled"),
     "simulate": ("DriverSpec", "SimulationResult", "empirical_filtered_acvf", "simulate_euler",

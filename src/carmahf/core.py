@@ -1,8 +1,9 @@
 """Continuous-time CARMA layer and the sampled state-space core.
 
-The model, the one Delta rule, companion state-space matrices, the causal
-kernel g, the continuous-time autocovariance and spectral density, the
-stationary state covariance, and the sampled system (F, Q_Delta, b) in
+The model and its stability rule, the coprimality rule of :func:`validate`,
+the one Delta rule, companion state-space matrices, the causal kernel g, the
+continuous-time autocovariance and spectral density, the stationary state
+covariance, and the sampled system (F, Q_Delta, b) in
 Delta-scaled coordinates that every Delta-grid quantity derives from; the
 kernel and the continuous-time autocovariance at lag h read it at Delta = h.
 No route reads the autoregressive roots, so every root multiplicity takes the
@@ -19,6 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly
+
+#: An AR root is stable when its real part is below -STABILITY_MARGIN: the boundary is unstable.
+STABILITY_MARGIN = 1e-12
+#: Relative backward error at which :func:`validate` reads a shared zero.
+BACKWARD_TOL = 1e-12
 
 
 class ModelError(ValueError):
@@ -66,7 +72,7 @@ class CarmaModel:
         if self.b[-1] != 1.0:
             raise ModelError("bad_normalization", f"leading MA coefficient must be 1, got {self.b[-1]}")
         roots = np.linalg.eigvals(self.companion()).astype(complex)
-        if not poly.is_stable(roots):
+        if not np.all(roots.real < -STABILITY_MARGIN):
             raise ModelError("unstable_ar", "autoregressive roots must lie strictly in the left half plane")
         object.__setattr__(self, "roots", tuple(roots.tolist()))
 
@@ -100,9 +106,23 @@ def validate(model: CarmaModel) -> CarmaModel:
     Every other assumption holds once the model is built; second-order
     quantities need no coprimality (a shared zero makes the state space
     non-minimal), so no library routine calls this.
+
+    A root z of one polynomial counts as a zero of the other, p, when it is
+    one to rounding: |p(z)| <= ``BACKWARD_TOL`` * sum_k |p_k| |z|^k.  Both
+    ways are checked, each at the :func:`poly.find_roots` of one polynomial.
+    An m-fold root splits into roots about eps^(1/m) apart, so only the
+    polynomial evaluated at the roots of the one holding a shared zero less
+    often reads it at rounding level; and p near an m-fold zero grows only
+    like d^m with the distance d, so a looser bound would merge zeros that are
+    clearly apart.
     """
-    if not poly.coprime((*model.a[::-1], 1.0), model.b):
-        raise ModelError("common_zeros", "AR and MA polynomials share a zero")
+    a, b = (*model.a[::-1], 1.0), model.b  # ascending, each with leading coefficient 1
+    for p, other in ((b, a), (a, b)):
+        if len(other) > 1:
+            z = poly.find_roots(other)
+            bound = np.polyval(np.abs(p[::-1]), np.abs(z))
+            if np.any(np.abs(np.polyval(p[::-1], z)) <= BACKWARD_TOL * bound):
+                raise ModelError("common_zeros", "AR and MA polynomials share a zero")
     return model
 
 

@@ -64,6 +64,18 @@ def random_stable_model(rng, p_max=4):
     return CarmaModel(a, b, sigma2=float(rng.uniform(0.5, 2.0)))
 
 
+def inverse_transform(density, n_points, lags):
+    """int_-pi^pi f(w) cos(h w) dw for each lag h by the n-point rule on [-pi, pi), n even.
+
+    For f(w) = (1/2pi) sum_k c_k e^(-ikw) the rule returns sum_m c_(h + m n): exact
+    for a trigonometric polynomial of degree below n - h, and otherwise off by the
+    aliased terms c_(h + m n), m != 0.
+    """
+    w = np.linspace(-np.pi, np.pi, n_points, endpoint=False)
+    f = density(w)
+    return [2 * np.pi * np.mean(f * np.cos(h * w)) for h in lags]
+
+
 def roots_model(ar_roots, ma_zeros):
     """The model with these AR roots and MA zeros, b scaled to b_q = 1."""
     return CarmaModel(np.real(np.poly(ar_roots))[1:], np.atleast_1d(np.poly(ma_zeros))[::-1])

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.integrate import quad
 
 import carmahf as chf
-from carmahf import CarmaModel, ModelError, core, poly
+from carmahf import CarmaModel, ModelError, core
 
 from conftest import (
     FOURFOLD_PAIR_A,
@@ -45,13 +44,18 @@ class TestValidate:
         chf.validate(carma20)
         got = sorted(np.real(carma20.roots))
         assert np.allclose(got, [-2.0, -1.0], atol=1e-10)
+        # the same AR roots with an MA zero at -5
+        m = CarmaModel(carma20.a, [5.0, 1.0])
+        assert chf.validate(m) is m
 
     def test_common_zeros(self, carma21):
         with pytest.raises(ModelError) as exc:
             chf.validate(carma21)
         assert exc.value.reason == "common_zeros"
-        # a zero at -1 shared with a triple or higher AR root at -1
+        # a zero at -1 shared with a double AR root at -1 (b at the split roots of a is
+        # just over the tolerance), or with a triple or higher one
         for a, b in (
+            ([4.0, 5.0, 2.0], [1.0, 1.0]),
             ([3.0, 3.0, 1.0], [1.0, 1.0]),
             ([4.0, 6.0, 4.0, 1.0], [1.0, 1.0]),
             ([4.0, 6.0, 4.0, 1.0], [1.0, 2.0, 1.0]),
@@ -67,6 +71,14 @@ class TestValidate:
             m = CarmaModel(np.poly(a_roots)[1:], np.poly(b_roots)[::-1])
             assert chf.validate(m) is m
 
+    @pytest.mark.parametrize("k, zero", [(2, -1.0001), (5, -1.03)])
+    def test_distinct_zero_near_a_k_fold_root(self, k, zero):
+        # the polynomial holding the k-fold -1 is only d^k at the other's zero, d away,
+        # yet the zeros are clearly apart, whichever polynomial holds which
+        for a_roots, b_roots in (([-1] * k, [zero]), ([zero, *[-2] * k], [-1] * k)):
+            m = CarmaModel(np.poly(a_roots)[1:], np.poly(b_roots)[::-1])
+            assert chf.validate(m) is m
+
     def test_bad_orders(self):
         for a, b in (([1.0], [0.5, 1.0]), ([], [1.0]), ([1.0], [])):
             with pytest.raises(ModelError) as exc:
@@ -74,8 +86,8 @@ class TestValidate:
             assert exc.value.reason == "bad_orders"
 
     def test_unstable(self):
-        # a root at 1, roots at +-i and a root at 0: the boundary is unstable
-        for a in ([-1.0], [0.0, 1.0], [0.0]):
+        # a root at 1, roots -1 and 0.5, roots at +-i and a root at 0: the boundary is unstable
+        for a in ([-1.0], [0.5, -0.5], [0.0, 1.0], [0.0]):
             with pytest.raises(ModelError) as exc:
                 CarmaModel(a, [1.0])
             assert exc.value.reason == "unstable_ar"
@@ -131,7 +143,7 @@ class TestStabilityProperty:
         except ModelError as exc:
             assert exc.reason == "unstable_ar"
             return
-        assert all(z.real < -poly.STABILITY_MARGIN for z in m.roots)
+        assert all(z.real < -core.STABILITY_MARGIN for z in m.roots)
         assert chf.acvf_continuous(m, 0.0) > 0.0
 
 
@@ -209,15 +221,13 @@ class TestAcvfContinuous:
         assert chf.acvf_continuous(ou, 2.0) == pytest.approx(0.5 * np.exp(-2), rel=1e-12)
 
     def test_quadrature_oracle(self, carma21):
-        # gamma_Y(h) = sigma2 * int_0^inf g(u) g(u+|h|) du
+        # gamma_Y(h) = sigma2 * int_0^inf g(u) g(u+|h|) du, by mpmath's quadrature of the kernel
+        def g(u):
+            return chf.kernel_values(carma21, float(u))
+
         for h in (0.0, 0.7, 5.0):
-            oracle, _ = quad(
-                lambda u: chf.kernel_values(carma21, u) * chf.kernel_values(carma21, u + h),
-                0.0,
-                np.inf,
-                limit=200,
-            )
-            assert chf.acvf_continuous(carma21, h) == pytest.approx(oracle, rel=1e-7)
+            oracle = mp.quad(lambda u: g(u) * g(u + h), [0, mp.inf])
+            assert chf.acvf_continuous(carma21, h) == pytest.approx(float(oracle), rel=1e-7)
 
     def test_lyapunov_vs_mpmath(self):
         rng = np.random.default_rng(5)
@@ -227,9 +237,9 @@ class TestAcvfContinuous:
             assert chf.acvf_continuous(m, hs) == pytest.approx(mp_kernel_acvf(m, hs)[1], rel=ACVF_BOUND, abs=0.0)
 
     def test_repeated_roots_fall_back(self):
-        m = CarmaModel([2.0, 1.0], [1.0])  # double root -1
-        oracle, _ = quad(lambda u: chf.kernel_values(m, u) ** 2, 0.0, np.inf, limit=200)
-        assert chf.acvf_continuous(m, 0.0) == pytest.approx(oracle, rel=1e-9)
+        # double root -1: g(t) = t e^-t, so gamma_Y(0) = int t^2 e^-2t dt = 1/4
+        m = CarmaModel([2.0, 1.0], [1.0])
+        assert chf.acvf_continuous(m, 0.0) == pytest.approx(0.25, rel=1e-12)
         # quadruple root -1: gamma_Y(0) = int (t^3 e^-t / 3!)^2 dt = 6! / (2^7 3!^2)
         m = CarmaModel([4.0, 6.0, 4.0, 1.0], [1.0])
         assert chf.acvf_continuous(m, 0.0) == pytest.approx(5.0 / 32.0, rel=1e-12)
@@ -253,12 +263,9 @@ class TestSpectralDensityContinuous:
         )
 
     def test_wiener_khinchin(self, carma20):
-        omega_max = 500.0
-        val, _ = quad(lambda w: chf.spectral_density_continuous(carma20, w), 0, omega_max, limit=400)
-        # rational-decay tail bound: f ~ C / w^4 beyond the window
-        tail = chf.spectral_density_continuous(carma20, omega_max) * omega_max / 3.0
-        total = 2.0 * (val + tail)
-        assert total == pytest.approx(chf.acvf_continuous(carma20, 0.0), rel=1e-6)
+        # gamma_Y(0) = int f_Y(w) dw over the real line, by mpmath's quadrature of f_Y
+        total = 2 * mp.quad(lambda w: chf.spectral_density_continuous(carma20, float(w)), [0, 1, 10, mp.inf])
+        assert float(total) == pytest.approx(chf.acvf_continuous(carma20, 0.0), rel=1e-6)
 
     @pytest.mark.parametrize("name", ["car1", "carma20", "carma21", "carma30"])
     def test_bit_identical_to_float_horner(self, name):

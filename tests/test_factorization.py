@@ -6,7 +6,7 @@ from mpmath import mp
 
 import carmahf as chf
 from carmahf import CarmaModel, FactorizationError, core, poly
-from carmahf.factorization import _theta, _unit_product, _w_polynomial, reconstruct_acvf
+from carmahf.factorization import _factorize, _theta, _unit_product, _w_polynomial, reconstruct_acvf
 
 from conftest import COVERAGE_ROOTS, corpus, mp_gamma_ma, mp_theta, random_stable_model, roots_model
 
@@ -88,6 +88,16 @@ class TestSpectralFactorize:
             theta, tau2 = chf.spectral_factorize([2.0, -1.0])
         assert theta == pytest.approx([-1.0], abs=1e-6)
         assert tau2 == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="BOUNDARY_TOL = 1e-8 is below sqrt(eps), the precision of |r| at w = +-2")
+    @pytest.mark.parametrize("theta", [(-1.5, 0.5), (0.5, -0.5)], ids=["1-B", "1+B"])
+    def test_unit_root_beside_a_second_factor_warns(self, theta):
+        # (1 - B)(1 - B/2) and (1 + B)(1 - B/2): theta comes back off by 2.1e-8 and 8.9e-8,
+        # with no boundary warning and boundary False
+        gamma = reconstruct_acvf(theta, 1.0)
+        with pytest.warns(UserWarning, match="boundary"):
+            chf.spectral_factorize(gamma)
+        assert _factorize(gamma)[2]
 
 
 class TestWForm:

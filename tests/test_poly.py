@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carmahf.poly import coprime, find_roots, is_stable
+from carmahf.poly import find_roots
 
 
 def test_find_roots_factorable():
@@ -96,38 +96,7 @@ def test_find_roots_bit_identical_to_np_roots_random():
         assert find_roots(coeffs).tobytes() == want.tobytes()
 
 
-def test_find_roots_and_coprime_ignore_trailing_zeros():
+def test_find_roots_ignores_trailing_zeros():
     assert find_roots([2, 3, 1, 0, 0]).tobytes() == find_roots([2, 3, 1]).tobytes()
     with pytest.raises(ValueError):
         find_roots([4, 0, 0])
-    assert not coprime([2, 3, 1, 0], [1, 1, 0, 0])
-    assert coprime([2, 3, 1, 0], [5, 1, 0])
-    assert coprime([1, 1, 0], [1, 0, 0])  # constant b
-    assert not coprime([2, 3, 1], [0, 0])
-
-
-def test_is_stable():
-    assert is_stable(np.roots([1, 3, 2]))
-    assert is_stable(np.array([-1.0 + 2j, -1.0 - 2j]))
-    assert not is_stable(np.array([-1.0, 0.5]))
-    assert not is_stable(np.array([0.0]))  # boundary counts as unstable
-    assert not is_stable(np.array([1j, -1j]))
-
-
-def test_coprime():
-    a = [2, 3, 1]  # z^2 + 3z + 2
-    assert not coprime(a, [1, 1])  # shared root -1
-    assert coprime(a, [5, 1])
-    assert coprime([1, 1], [1])  # constant b
-    assert not coprime(a, [0])  # zero polynomial shares everything
-    # shared repeated zeros at -1: (z+1)^k against z+1 or (z+1)^2
-    for k, b in ((3, [1, 1]), (4, [1, 1]), (4, [1, 2, 1]), (5, [1, 1])):
-        assert not coprime(np.poly(-np.ones(k))[::-1], b)
-    # a shared double root: b at the split roots of a is just over tolerance
-    assert not coprime([2, 5, 4, 1], [1, 1])
-    # distinct zeros near a repeated root of a: a at the root of b is only
-    # d^m, yet the zeros are clearly apart
-    for k, b in ((5, [1.03, 1]), (3, [1.003, 1]), (2, [1.0001, 1])):
-        assert coprime(np.poly(-np.ones(k))[::-1], b)
-        # the same zeros with the repeated one in b: b at the root of a is only d^m
-        assert coprime(b, np.poly(-np.ones(k))[::-1])

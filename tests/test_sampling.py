@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import carmahf as chf
 from carmahf import CarmaModel, core
@@ -12,7 +11,7 @@ from carmahf.sampling import (
     coarseness,
 )
 
-from conftest import corpus, coverage_models, mp_sampled_density, random_stable_model
+from conftest import corpus, coverage_models, inverse_transform, mp_sampled_density, random_stable_model
 
 #: f_Delta within DENSITY_BOUND * max(1, 1/delta) of itself: exact f_Delta loses about
 #: eps/delta near omega = 0.  The worst measured is 7.1 eps * max(1, 1/delta).
@@ -143,17 +142,13 @@ class TestSampledDensity:
                 assert_density_close(m, d)
 
     def test_inverse_transform_recovers_sampled_acvf(self, carma21):
-        # (1/2pi-normalized) duality: gamma_Y(h delta) = int_-pi^pi f_Delta e^{ihw} dw
+        # (1/2pi-normalized) duality: gamma_Y(h delta) = int_-pi^pi f_Delta e^{ihw} dw.  The
+        # 1024-point rule is off by the aliased sum_(m != 0) gamma_Y(|h + 1024 m| delta), below
+        # gamma_Y(0) e^(-min|Re lambda| (1024 - h) delta) ~ e^-102: exact in floats.
         d = 0.1
-        for h in (0, 1, 3):
-            val, _ = quad(
-                lambda w: chf.spectral_density_sampled(carma21, d, w) * np.cos(h * w),
-                0.0,
-                np.pi,
-                limit=200,
-                epsrel=1e-12,
-            )
-            assert 2 * val == pytest.approx(chf.acvf_continuous(carma21, h * d), rel=1e-9)
+        lags = (0, 1, 3)
+        got = inverse_transform(lambda w: chf.spectral_density_sampled(carma21, d, w), 1024, lags)
+        assert got == pytest.approx(chf.acvf_continuous(carma21, np.array(lags) * d), rel=1e-9)
 
     @pytest.mark.parametrize("delta", [10.0, 20.0, 50.0])
     def test_coarse_grid_vs_mpmath(self, carma30, delta):
@@ -177,19 +172,13 @@ class TestFilteredDensity:
         )
 
     def test_duality_with_acvf_filtered(self):
-        # gamma_MA(n) = int_-pi^pi f_MA(w) e^{inw} dw for every corpus model
+        # gamma_MA(n) = int_-pi^pi f_MA(w) e^{inw} dw for every corpus model; f_MA is a
+        # trigonometric polynomial of degree p - 1, so the 4p-point rule has no aliasing
         for m in corpus():
             d = 0.1
             gamma = chf.acvf_filtered_sequence(m, d).values
-            for n in range(m.p):
-                val, _ = quad(
-                    lambda w: chf.spectral_density_filtered(m, d, w) * np.cos(n * w),
-                    0.0,
-                    np.pi,
-                    limit=300,
-                    epsrel=1e-12,
-                )
-                assert 2 * val == pytest.approx(gamma[n], rel=1e-8, abs=1e-14)
+            got = inverse_transform(lambda w: chf.spectral_density_filtered(m, d, w), 4 * m.p, range(m.p))
+            assert got == pytest.approx(gamma, rel=1e-8, abs=1e-14)
 
 
 class TestAnnihilation:

@@ -4,12 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import carmahf as chf
 from carmahf import CarmaModel, DriverSpec, core, simulate
 from carmahf.simulate import spawn_seeds
 
-from conftest import FOURFOLD_PAIR_A, child_env, corpus
+from conftest import FOURFOLD_PAIR_A, child_env, corpus, mp_system
 
 
 class TestDriverSpec:
@@ -67,23 +68,14 @@ class TestTransitionNoiseCovariance:
         Q = _unscaled_transition(ou, d)[1]
         assert Q[0, 0] == pytest.approx(0.5 * (1 - np.exp(-2 * d)), rel=1e-12)
 
-    def test_quadrature_oracle(self, carma30):
-        from scipy.integrate import quad
-        from scipy.linalg import expm
-
+    def test_lyapunov_identity_vs_mpmath(self, carma30):
+        # Q_Delta = Sigma - e^(A Delta) Sigma e^(A^T Delta) at 60 digits
         d = 0.2
-        A = carma30.companion()
-        Q = _unscaled_transition(carma30, d)[1]
-        for i in range(3):
-            for j in range(3):
-                val, _ = quad(
-                    lambda u: expm(A * u)[i, -1] * expm(A * u)[j, -1],
-                    0.0,
-                    d,
-                    limit=100,
-                    epsabs=1e-13,
-                )
-                assert Q[i, j] == pytest.approx(val, abs=1e-11)
+        with mp.workdps(60):
+            A, _, sigma = mp_system(carma30)
+            F = mp.expm(A * mp.mpf(d))
+            want = np.array((sigma - F * sigma * F.T).tolist(), dtype=float)
+        assert _unscaled_transition(carma30, d)[1] == pytest.approx(want, abs=1e-11)
 
     def test_consistency_with_stationary_covariance(self, carma20):
         # Sigma = F Sigma F^T + Q_Delta must hold for the sampled chain
