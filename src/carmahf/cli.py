@@ -111,23 +111,12 @@ def cmd_acvf(args, model: CarmaModel) -> tuple:
     return {"delta": args.delta, "mode": args.mode}, ["lag", "gamma", "mode"], rows
 
 
-def _auto_omega_max(model: CarmaModel) -> float:
-    d = model.p - model.q
-    g0 = core.acvf_continuous(model, 0.0)
-    omega = 10.0 * (1.0 + max(map(abs, model.roots)))
-    while omega < 1e6:
-        tail = 4.0 * core.spectral_density_continuous(model, omega) * omega / (2 * d - 1)
-        if tail < 1e-6 * g0:
-            break
-        omega *= 2.0
-    return omega
-
-
 def cmd_spectrum(args, model: CarmaModel) -> tuple:
     _require(args.grid_points >= 2, "--grid-points must be >= 2")
     if args.which == "continuous":
-        omax = _auto_omega_max(model)
-        grid = np.linspace(-omax, omax, args.grid_points)
+        # the Nyquist band of delta, where f_delta holds the un-aliased term of f_Y
+        grid = np.linspace(-np.pi, np.pi, args.grid_points) / args.delta
+        _require_finite(grid, "the Nyquist band pi / delta", args.delta)
         vals = core.spectral_density_continuous(model, grid)
     else:
         grid = np.linspace(-np.pi, np.pi, args.grid_points)

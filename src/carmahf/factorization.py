@@ -4,7 +4,8 @@ Turns the filtered-sequence autocovariances into the invertible moving-average
 polynomial theta(B) and innovation variance tau^2 of the ARMA representation
 of the sampled process.  The covariance generating polynomial is palindromic,
 so it is factored in w = z + 1/z, where each reciprocal root pair (r, 1/r) is
-one root w = r + 1/r; theta takes the member with |r| >= 1 of each.
+one root w = r + 1/r; theta takes the member with |r| >= 1 of each.  theta is at
+the unit-circle boundary where |S| is within its rounding bound on [-2, 2] by a root.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from . import poly, sampling
 from .core import CarmaModel
 
-#: theta roots this close to the unit circle mark the non-invertible boundary.
-BOUNDARY_TOL = 1e-8
 #: Multiple of eps * sum_k |S_k| 2^k, a bound on the rounding error of S(w)
 #: on the segment [-2, 2] that the spectrum maps to.
 _SEGMENT_ROUNDING = 16.0 * np.finfo(float).eps
@@ -38,8 +37,8 @@ class SampledArma:
     ``phi`` are the AR coefficients (A_0=1, ..., A_p), ``gamma`` the exact
     gamma_MA(0..p-1) that was factored into the MA coefficients ``theta``
     (theta_1, ..., theta_{p-1}) of an invertible theta(B) and the innovation
-    variance ``tau2``.  ``boundary`` is True when theta(B) has a root within
-    ``BOUNDARY_TOL`` of the unit circle, i.e. it is only the non-invertible limit.
+    variance ``tau2``.  ``boundary`` is True when theta(B) cannot be told, within
+    the rounding bound of S(w), from a factor with a root on the unit circle.
     """
 
     delta: float
@@ -64,15 +63,15 @@ def spectral_factorize(cov) -> tuple[np.ndarray, float]:
     S(w) = gamma(0) + sum_{n>=1} gamma(n) D_n(w) in w = z + 1/z, where
     D_n(w) = z^n + z^-n.  Each of the m roots w of S gives the root r of
     z^2 - w z + 1 with |r| >= 1, theta(z) = prod(1 - z / r) and
-    tau^2 = gamma(0) / (1 + sum theta_j^2).  Warns when a root of theta lies
-    on the unit circle.
+    tau^2 = gamma(0) / (1 + sum theta_j^2).  Warns when theta cannot be told,
+    within the rounding bound of S, from a factor with a unit-circle root.
     """
     theta, tau2, _ = _factorize(cov)
     return theta, tau2
 
 
 def _factorize(cov) -> tuple[np.ndarray, float, bool]:
-    """:func:`spectral_factorize` plus whether theta(B) hit the unit circle."""
+    """:func:`spectral_factorize` plus whether theta(B) is at the unit-circle boundary."""
     gamma = np.asarray(getattr(cov, "values", cov), dtype=float)
     if gamma.ndim != 1 or len(gamma) == 0:
         raise ValueError("covariance sequence must be a non-empty 1-d array")
@@ -91,18 +90,20 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     # The one PSD rule: S(w) has no real root on (-2, 2), the image of the unit
     # circle, beyond rounding.
     s = _w_polynomial(gamma.tolist())
-    theta, boundary = _theta(s)
+    rounding = _SEGMENT_ROUNDING * _horner([abs(c) for c in s], 2.0)
+    theta, boundary = _theta(s, rounding)
     if theta is None:
         # Rounding put a root of S on (-2, 2): the computed spectrum dips below
         # zero where gamma_MA is tiny, near omega = 0.  Factor the sequence
         # within rounding of gamma that lifts S by its rounding bound there.
-        s[0] += _SEGMENT_ROUNDING * np.dot(np.abs(s), 2.0 ** np.arange(m + 1))
-        theta, boundary = _theta(s)
+        s[0] += rounding
+        theta, _ = _theta(s, rounding)
         if theta is None:
             raise FactorizationError("not_psd", "spectrum is negative beyond rounding: theta is not real")
+        boundary = True
     tau2 = gamma[0] / (1.0 + np.dot(theta, theta))
     if boundary:
-        warnings.warn("unit-circle spectral roots: factorization is at the non-invertible boundary")
+        warnings.warn("unit-circle spectral roots: factorization is at the non-invertible boundary", stacklevel=3)
     return theta, float(tau2), boundary
 
 
@@ -121,12 +122,13 @@ def _w_polynomial(gamma: list) -> list:
     return s
 
 
-def _theta(s: list) -> tuple[np.ndarray | None, bool]:
+def _theta(s: list, rounding: float) -> tuple[np.ndarray | None, bool]:
     """theta from the roots of S(w), or None when it is not real; and the boundary flag.
 
     theta is not real exactly when S has a real root in (-2, 2), a zero of the
     spectrum on the unit circle whose r has |r| = 1 and no conjugate partner;
     every other root is real with |w| >= 2 or one of an exactly conjugate pair.
+    The flag is set when |S(clip(Re w, -2, 2))| <= ``rounding`` for a root w.
     """
     roots = poly.find_roots(s).tolist()
     if any(w.imag == 0.0 and -2.0 < w.real < 2.0 for w in roots):
@@ -135,8 +137,16 @@ def _theta(s: list) -> tuple[np.ndarray | None, bool]:
     for w in roots:
         root = cmath.sqrt((w - 2.0) * (w + 2.0))
         r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
-    c = _unit_product(r)
-    return np.array([x.real for x in c[1:]]), any(abs(abs(x) - 1.0) <= BOUNDARY_TOL for x in r)
+    boundary = any(abs(_horner(s, min(max(w.real, -2.0), 2.0))) <= rounding for w in roots)
+    return np.array([x.real for x in _unit_product(r)[1:]]), boundary
+
+
+def _horner(s: list, x: float) -> float:
+    """S(x) from ascending coefficients, in Python floats."""
+    v = 0.0
+    for c in reversed(s):
+        v = v * x + c
+    return v
 
 
 def _unit_product(r: list) -> list:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carmahf import cli
+from carmahf import cli, core
 
 from conftest import FOURFOLD_PAIR_A, child_env
 
@@ -194,19 +194,26 @@ class TestSpectrum:
         assert origin["carma20"] > 0.0
 
     def test_no_window_option(self, model_file):
-        # the continuous window is worked out from the model
+        # the continuous window is the Nyquist band of --delta
         with pytest.raises(SystemExit) as exc:
             run_cli(["spectrum", model_file, "--which", "continuous", "--omega-max", "5"])
         assert exc.value.code == cli.EXIT_VALIDATION
 
-    @pytest.mark.parametrize("name, omega_max", [("carma20", 240.0), ("carma30", 40.0)])
-    def test_default_continuous_window(self, capsys, name, omega_max):
-        # d = p - q >= 2: the window 10 (1 + max|lambda|) doubles until the tail test passes,
-        # far below the 1e6 cap that carma21 (d = 1) reaches
-        assert run_cli(["spectrum", str(MODELS / f"{name}.json"), "--which", "continuous", "--no-timestamp"]) == 0
+    @pytest.mark.parametrize("args, delta", [([], 0.1), (["--delta", "0.02"], 0.02)], ids=["default", "0.02"])
+    def test_continuous_window_is_the_nyquist_band(self, model_file, capsys, args, delta):
+        assert run_cli(["spectrum", model_file, "--which", "continuous", *args, "--no-timestamp"]) == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 1001
-        assert -float(rows[0][0]) == float(rows[-1][0]) == pytest.approx(omega_max, rel=1e-15)
+        assert -float(rows[0][0]) == float(rows[-1][0]) == np.pi / delta
+
+    @pytest.mark.parametrize("name", ["car1", "carma20", "carma21", "carma30"])
+    def test_continuous_window_shows_the_spectrum(self, capsys, name):
+        # at least a tenth of the points lie where f_Y is above 1% of f_Y(0)
+        path = str(MODELS / f"{name}.json")
+        assert run_cli(["spectrum", path, "--which", "continuous", "--no-timestamp"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        f0 = core.spectral_density_continuous(cli.load_model(path), 0.0)
+        assert np.mean([float(f) >= 1e-2 * f0 for _, f in rows]) >= 0.1
 
     def test_bad_grid(self, model_file):
         assert run_cli(
@@ -226,6 +233,21 @@ class TestSampledArma:
         assert float(vals[("tau2", "")]) == pytest.approx(0.001, rel=0.01)
         assert float(vals[("reconstruction_residual", "")]) < 1e-9
 
+    def test_boundary_warning(self, tmp_path):
+        # p5q4 (AR roots -1..-5, MA zeros -1.5..-4.5) at delta = 1e-3: theta's zeros near z = 1
+        # are not resolved, so the rows come with the boundary warning
+        path = write_model(tmp_path, {"a": [15.0, 85.0, 225.0, 274.0, 120.0],
+                                      "b": [59.0625, 93.0, 51.5, 12.0, 1.0], "sigma2": 1.0})
+        proc = subprocess.run(
+            [sys.executable, "-m", "carmahf.cli", "sampled-arma", path, "--delta", "0.001", "--no-timestamp"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("carmahf: warning: unit-circle spectral roots") and "boundary" in proc.stderr
+
 
 CARMA30 = str(MODELS / "carma30.json")
 
@@ -239,8 +261,10 @@ CARMA30 = str(MODELS / "carma30.json")
         ["spectrum", CARMA30, "--delta", "1e200", "--which", "filtered", "--grid-points", "5"],
         ["acvf", CARMA30, "--delta", "1e100", "--mode", "asymptotic"],
         ["spectrum", CARMA30, "--delta", "1e200", "--which", "asymptotic", "--grid-points", "5"],
+        ["spectrum", CARMA30, "--delta", "5e-324", "--which", "continuous", "--grid-points", "5"],  # pi / delta
     ],
-    ids=["sampled-arma", "acvf", "spectrum-sampled", "spectrum-filtered", "acvf-asymptotic", "spectrum-asymptotic"],
+    ids=["sampled-arma", "acvf", "spectrum-sampled", "spectrum-filtered", "acvf-asymptotic", "spectrum-asymptotic",
+         "spectrum-continuous"],
 )
 def test_overflowing_delta_is_a_numeric_failure(args, capsys):
     assert run_cli(args) == cli.EXIT_NUMERIC

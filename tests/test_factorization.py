@@ -6,7 +6,7 @@ from mpmath import mp
 
 import carmahf as chf
 from carmahf import CarmaModel, FactorizationError, core, poly
-from carmahf.factorization import _factorize, _theta, _unit_product, _w_polynomial, reconstruct_acvf
+from carmahf.factorization import _SEGMENT_ROUNDING, _factorize, _theta, _unit_product, _w_polynomial, reconstruct_acvf
 
 from conftest import COVERAGE_ROOTS, corpus, mp_gamma_ma, mp_theta, random_stable_model, roots_model
 
@@ -89,15 +89,52 @@ class TestSpectralFactorize:
         assert theta == pytest.approx([-1.0], abs=1e-6)
         assert tau2 == pytest.approx(1.0, rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="BOUNDARY_TOL = 1e-8 is below sqrt(eps), the precision of |r| at w = +-2")
-    @pytest.mark.parametrize("theta", [(-1.5, 0.5), (0.5, -0.5)], ids=["1-B", "1+B"])
+    @pytest.mark.parametrize("theta", [(-1.5, 0.5), (0.5, -0.5), (-2 / 3, -1 / 3)], ids=["1-B", "1+B", "1-B,1+B/3"])
     def test_unit_root_beside_a_second_factor_warns(self, theta):
-        # (1 - B)(1 - B/2) and (1 + B)(1 - B/2): theta comes back off by 2.1e-8 and 8.9e-8,
-        # with no boundary warning and boundary False
+        # (1 - B)(1 - B/2), (1 + B)(1 - B/2) and (1 - B)(1 + B/3): theta comes back off by
+        # about sqrt(eps), the precision to which a simple root of S at w = +-2 fixes |r|
         gamma = reconstruct_acvf(theta, 1.0)
         with pytest.warns(UserWarning, match="boundary"):
             chf.spectral_factorize(gamma)
         assert _factorize(gamma)[2]
+
+    @pytest.mark.filterwarnings("ignore:unit-circle spectral roots")
+    def test_every_unit_root_is_the_boundary(self):
+        # one root at exactly +-1 beside 0-3 others: S is zero at w = +-2, so every draw is flagged
+        rng = np.random.default_rng(7)
+        assert all(_factorize(reconstruct_acvf(_ma_with_nearest_root(rng, 1.0), 1.0))[2] for _ in range(400))
+
+    def test_root_off_the_circle_is_not_the_boundary(self):
+        # the nearest root 1e-4 from the circle: theta is resolved, and no draw is flagged
+        rng = np.random.default_rng(11)
+        assert not any(_factorize(reconstruct_acvf(_ma_with_nearest_root(rng, 1.0 + 1e-4), 1.0))[2]
+                       for _ in range(400))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: chf.spectral_factorize([2.0, -1.0]),
+            lambda: chf.sampled_arma(CarmaModel([3.0, 2.0], [1e-3, 1.0]), 1e-5),
+        ],
+        ids=["spectral_factorize", "sampled_arma"],
+    )
+    def test_boundary_warning_points_at_the_caller(self, call):
+        with pytest.warns(UserWarning, match="boundary") as record:
+            call()
+        assert record[0].filename == __file__
+
+
+def _ma_with_nearest_root(rng, nearest: float) -> np.ndarray:
+    """theta of prod(1 - B / r): one real root of modulus ``nearest``, and 0-3 more
+    real roots of modulus 10^U(0.05, 0.5), each of either sign."""
+    moduli = [nearest] + list(10.0 ** rng.uniform(0.05, 0.5, int(rng.integers(0, 4))))
+    roots = np.array(moduli) * rng.choice([-1.0, 1.0], len(moduli))
+    return np.real(np.poly(1.0 / roots))[1:]
+
+
+def _rounding(s: list) -> float:
+    """The rounding bound of S(w) on [-2, 2]: _SEGMENT_ROUNDING * sum_k |S_k| 2^k."""
+    return _SEGMENT_ROUNDING * sum(abs(c) * 2.0**k for k, c in enumerate(s))
 
 
 class TestWForm:
@@ -125,11 +162,12 @@ class TestWForm:
 
     def test_real_root_on_the_segment_is_not_real(self):
         # S(w) = (w - 1)(w - 3): the simple root w = 1 is a sign change of the spectrum at omega = pi/3
-        assert _theta([3.0, -4.0, 1.0]) == (None, False)
+        assert _theta([3.0, -4.0, 1.0], _rounding([3.0, -4.0, 1.0])) == (None, False)
 
     def test_pair_just_off_the_segment_is_the_boundary(self):
-        # S(w) = w^2 + 1e-18, theta(B) = 1 + B^2 lifted: the roots +-1e-9 i give conjugate r, |r| - 1 = 5e-10
-        theta, boundary = _theta([1e-18, 0.0, 1.0])
+        # S(w) = w^2 + 1e-18, theta(B) = 1 + B^2 lifted: the roots +-1e-9 i give conjugate r,
+        # |r| - 1 = 5e-10, and S(0) = 1e-18 is within the rounding bound 1.4e-14
+        theta, boundary = _theta([1e-18, 0.0, 1.0], _rounding([1e-18, 0.0, 1.0]))
         assert boundary
         assert theta.tolist() == pytest.approx([0.0, 1.0], abs=1e-8)
 
@@ -240,6 +278,23 @@ class TestSampledArma:
         assert arma.theta[0] == pytest.approx(-1.0, abs=1e-9)
         assert not chf.sampled_arma(m, 1e-2).boundary
 
+    @pytest.mark.parametrize(
+        "roots",
+        [COVERAGE_ROOTS["p5q4"], (-np.arange(1.0, 9), -np.arange(1.5, 6))],
+        ids=["p5q4", "p8q5"],
+    )
+    def test_unresolved_zeros_near_one_are_flagged(self, roots):
+        # float gamma_MA does not resolve theta's zeros near z = 1: theta is off by 0.10 (p5q4)
+        # and 0.51 (p8q5) against the 80-digit reference, and the flag says so
+        with pytest.warns(UserWarning, match="boundary"):
+            assert chf.sampled_arma(roots_model(*roots), 1e-3).boundary
+
+    @pytest.mark.xfail(strict=True, reason="float gamma_MA's own error lifts S above its rounding bound")
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2])
+    def test_ma_zeros_on_the_imaginary_axis_are_flagged(self, delta):
+        # MA zeros +-2i put theta's zeros exactly on the unit circle, at every delta
+        assert chf.sampled_arma(roots_model([-1.0, -2.0, -3.0], [2j, -2j]), delta).boundary
+
     def test_repeated_roots_supported(self):
         m = CarmaModel([2.0, 1.0], [1.0])
         arma = chf.sampled_arma(m, 0.05)
@@ -300,9 +355,12 @@ class TestSmallDelta:
             assert chf.reconstruction_residual(arma) <= 1e-12
 
     def test_near_boundary_resolved(self):
-        # 60-digit reference: theta_1 + 1 = 1.0017e-7; the root is off the circle
-        arma = chf.sampled_arma(CarmaModel([3.0, 2.0], [1e-3, 1.0]), 1e-4)
-        assert not arma.boundary
+        # 60-digit reference: theta_1 + 1 = 1.0017e-7; the root is off the circle, and
+        # theta finds it, but |S(2)| is 0.71 of S's rounding bound, so float gamma cannot
+        # tell it from the circle and the flag is set
+        with pytest.warns(UserWarning, match="boundary"):
+            arma = chf.sampled_arma(CarmaModel([3.0, 2.0], [1e-3, 1.0]), 1e-4)
+        assert arma.boundary
         assert arma.theta[0] + 1.0 == pytest.approx(1.0017e-7, abs=5e-9)
 
     def test_near_boundary_invertible(self):
