@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, poly
 from .core import CarmaModel
 from .factorization import _w_polynomial, spectral_factorize
 
@@ -112,9 +112,7 @@ def differenced_spectrum_asymptotic(model: CarmaModel, delta: float, omega) -> n
     w = np.asarray(omega, dtype=float)
     d = model.p - model.q
     v = np.square(2.0 * np.cos(0.5 * w))
-    s = 0.0
-    for c in reversed(_differenced_polynomial(d)):  # Horner
-        s = s * v + c
+    s = poly._horner(_differenced_polynomial(d), v)
     # inf, not OverflowError, at huge delta
     return core._like(w, model.sigma2 / (2.0 * np.pi) * np.float64(delta) ** (2 * d - 1) * s)
 

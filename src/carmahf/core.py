@@ -46,10 +46,10 @@ class CarmaModel:
 
     Construction raises :class:`ModelError` naming the first violated
     assumption: ``bad_orders``, ``nonpositive_sigma2``, ``non_finite``,
-    ``bad_normalization`` or ``unstable_ar``.  ``roots`` keeps the companion
-    eigenvalues of the stability test, outside equality and hashing, and serves
-    only that test, ``sampling.coarseness``, Euler's step check and the CLI's
-    omega window; an m-fold root comes out split by about eps^(1/m).
+    ``bad_normalization`` or ``unstable_ar``.  ``roots`` keeps the roots of a(z)
+    from :func:`poly.find_roots`, outside equality and hashing; they serve only
+    the stability test, :func:`validate`, ``sampling.coarseness`` and Euler's
+    step check.  An m-fold root comes out split by about eps^(1/m).
     """
 
     a: tuple
@@ -71,7 +71,7 @@ class CarmaModel:
             raise ModelError("non_finite", f"a, b and sigma2 must be finite, got {self.a}, {self.b}, {self.sigma2}")
         if self.b[-1] != 1.0:
             raise ModelError("bad_normalization", f"leading MA coefficient must be 1, got {self.b[-1]}")
-        roots = np.linalg.eigvals(self.companion()).astype(complex)
+        roots = poly.find_roots((*self.a[::-1], 1.0))
         if not np.all(roots.real < -STABILITY_MARGIN):
             raise ModelError("unstable_ar", "autoregressive roots must lie strictly in the left half plane")
         object.__setattr__(self, "roots", tuple(roots.tolist()))
@@ -109,7 +109,7 @@ def validate(model: CarmaModel) -> CarmaModel:
 
     A root z of one polynomial counts as a zero of the other, p, when it is
     one to rounding: |p(z)| <= ``BACKWARD_TOL`` * sum_k |p_k| |z|^k.  Both
-    ways are checked, each at the :func:`poly.find_roots` of one polynomial.
+    ways are checked: b at ``model.roots`` and a at the :func:`poly.find_roots` of b.
     An m-fold root splits into roots about eps^(1/m) apart, so only the
     polynomial evaluated at the roots of the one holding a shared zero less
     often reads it at rounding level; and p near an m-fold zero grows only
@@ -117,12 +117,9 @@ def validate(model: CarmaModel) -> CarmaModel:
     clearly apart.
     """
     a, b = (*model.a[::-1], 1.0), model.b  # ascending, each with leading coefficient 1
-    for p, other in ((b, a), (a, b)):
-        if len(other) > 1:
-            z = poly.find_roots(other)
-            bound = np.polyval(np.abs(p[::-1]), np.abs(z))
-            if np.any(np.abs(np.polyval(p[::-1], z)) <= BACKWARD_TOL * bound):
-                raise ModelError("common_zeros", "AR and MA polynomials share a zero")
+    for p, z in ((b, np.array(model.roots)), (a, poly.find_roots(b) if model.q else np.empty(0))):
+        if np.any(np.abs(poly._horner(p, z)) <= BACKWARD_TOL * poly._horner(np.abs(p), np.abs(z))):
+            raise ModelError("common_zeros", "AR and MA polynomials share a zero")
     return model
 
 
@@ -287,13 +284,13 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     v = np.atleast_1d(w)
     with np.errstate(over="ignore", invalid="ignore"):
         iw = 1j * v
-        num = np.abs(np.polyval(model.b[::-1], iw)) ** 2
-        den = np.abs(np.polyval((1.0, *model.a), iw)) ** 2
+        num = np.abs(poly._horner(model.b, iw)) ** 2
+        den = np.abs(poly._horner((*model.a[::-1], 1.0), iw)) ** 2
     far = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(v) > 1.0)
     if far.any():
         x = -1j * (1.0 / v[far])
-        num[far] = np.abs(np.polyval(model.b, x)) ** 2 * np.abs(v[far]) ** (2.0 * (model.q - model.p))
-        den[far] = np.abs(np.polyval((*model.a[::-1], 1.0), x)) ** 2
+        num[far] = np.abs(poly._horner(model.b[::-1], x)) ** 2 * np.abs(v[far]) ** (2.0 * (model.q - model.p))
+        den[far] = np.abs(poly._horner((1.0, *model.a), x)) ** 2
     return _like(w, (model.sigma2 / (2.0 * np.pi) * num / den).reshape(w.shape))
 
 

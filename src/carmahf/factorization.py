@@ -90,14 +90,17 @@ def _factorize(cov) -> tuple[np.ndarray, float, bool]:
     # The one PSD rule: S(w) has no real root on (-2, 2), the image of the unit
     # circle, beyond rounding.
     s = _w_polynomial(gamma.tolist())
-    rounding = _SEGMENT_ROUNDING * _horner([abs(c) for c in s], 2.0)
+    rounding = _SEGMENT_ROUNDING * poly._horner([abs(c) for c in s], 2.0)
     theta, boundary = _theta(s, rounding)
     if theta is None:
         # Rounding put a root of S on (-2, 2): the computed spectrum dips below
         # zero where gamma_MA is tiny, near omega = 0.  Factor the sequence
-        # within rounding of gamma that lifts S by its rounding bound there.
+        # within rounding of gamma that lifts S by its rounding bound there.  An
+        # end of the segment where S was already within rounding of 0 is an
+        # exact unit root of theta that the lift may not move out.
+        ends = [e for e in (-2.0, 2.0) if abs(poly._horner(s, e)) <= rounding]
         s[0] += rounding
-        theta, _ = _theta(s, rounding)
+        theta, _ = _theta(s, rounding, ends)
         if theta is None:
             raise FactorizationError("not_psd", "spectrum is negative beyond rounding: theta is not real")
         boundary = True
@@ -122,31 +125,30 @@ def _w_polynomial(gamma: list) -> list:
     return s
 
 
-def _theta(s: list, rounding: float) -> tuple[np.ndarray | None, bool]:
+def _theta(s: list, rounding: float, ends=()) -> tuple[np.ndarray | None, bool]:
     """theta from the roots of S(w), or None when it is not real; and the boundary flag.
 
     theta is not real exactly when S has a real root in (-2, 2), a zero of the
     spectrum on the unit circle whose r has |r| = 1 and no conjugate partner;
     every other root is real with |w| >= 2 or one of an exactly conjugate pair.
     The flag is set when |S(clip(Re w, -2, 2))| <= ``rounding`` for a root w.
+    For each end e of ``ends``, the root nearest e is read as e when it is real
+    and inside the segment on e's side: an exact unit root of theta, z = e / 2,
+    that rounding left inside.
     """
     roots = poly.find_roots(s).tolist()
+    for e in ends:
+        near = min(roots, key=lambda w: abs(w - e))
+        if near.imag == 0.0 and 0.0 < near.real * e < 4.0:
+            roots[roots.index(near)] = complex(e)
     if any(w.imag == 0.0 and -2.0 < w.real < 2.0 for w in roots):
         return None, False
     r = []
     for w in roots:
         root = cmath.sqrt((w - 2.0) * (w + 2.0))
         r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
-    boundary = any(abs(_horner(s, min(max(w.real, -2.0), 2.0))) <= rounding for w in roots)
+    boundary = any(abs(poly._horner(s, min(max(w.real, -2.0), 2.0))) <= rounding for w in roots)
     return np.array([x.real for x in _unit_product(r)[1:]]), boundary
-
-
-def _horner(s: list, x: float) -> float:
-    """S(x) from ascending coefficients, in Python floats."""
-    v = 0.0
-    for c in reversed(s):
-        v = v * x + c
-    return v
 
 
 def _unit_product(r: list) -> list:

@@ -1,10 +1,10 @@
-"""The one root finder on real polynomials.
+"""The one root finder and the one evaluator of real polynomials.
 
 A polynomial is a sequence of real coefficients in ascending degree order,
-trailing zeros ignored.  :func:`find_roots` takes the eigenvalues of its
-companion matrix: the roots of ``np.roots``, bit for bit.  ``core.validate``
-reads the roots of both model polynomials from it, and the spectral
-factorization the roots of its covariance polynomial in w = z + 1/z.
+trailing zeros ignored.  :func:`find_roots` (companion eigenvalues, bit for bit
+``np.roots``) solves a(z) once per ``CarmaModel``, b(z) in ``core.validate`` and
+S(w) in the spectral factorization; :func:`_horner` (bit for bit ``np.polyval``)
+evaluates b and a for f_Y, the residuals of ``validate``, S(w) and S_d(v).
 """
 
 from __future__ import annotations
@@ -40,3 +40,11 @@ def find_roots(coeffs) -> np.ndarray:
         companion[0] /= -nonzero[-1]
         roots = np.linalg.eigvals(companion)
     return np.concatenate([roots, np.zeros(len(c) - len(nonzero))], dtype=complex)
+
+
+def _horner(coeffs, x):
+    """The polynomial ``coeffs`` (ascending) at x, a scalar or an array: bit for bit ``np.polyval``."""
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v

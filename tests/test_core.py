@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import carmahf as chf
-from carmahf import CarmaModel, ModelError, core
+from carmahf import CarmaModel, ModelError, core, poly
 
 from conftest import (
     FOURFOLD_PAIR_A,
@@ -117,6 +117,32 @@ class TestValidate:
                 CarmaModel([3.0, 2.0], b)
             assert exc.value.reason == "bad_normalization"
 
+    @pytest.mark.xfail(strict=True, raises=ModelError, reason="STABILITY_MARGIN depends on the time scale")
+    @pytest.mark.parametrize(
+        "a",
+        [[3e-13, 2e-26], [1.0000000000005, 5e-13]],
+        ids=["roots-1e-13,-2e-13", "roots-1,-5e-13"],
+    )
+    def test_hurwitz_model_near_zero_is_stable(self, a):
+        # p = 2 with positive coefficients: a(z) is exactly Hurwitz, and the first
+        # model with time rescaled by 100 (roots -1e-11 and -2e-11) is accepted
+        assert CarmaModel([3e-11, 2e-22], [1.0]).p == 2
+        assert CarmaModel(a, [1.0]).p == 2
+
+    def test_validate_solves_only_b(self, monkeypatch, carma20):
+        # a(z) was solved when the model was built; validate solves b(z) once, and
+        # for q = 0 nothing
+        calls = []
+        find_roots = poly.find_roots
+        monkeypatch.setattr(poly, "find_roots", lambda c: calls.append(tuple(c)) or find_roots(c))
+        m = CarmaModel(carma20.a, [5.0, 1.0])
+        calls.clear()
+        assert chf.validate(m) is m
+        assert calls == [m.b]
+        calls.clear()
+        assert chf.validate(carma20) is carma20
+        assert calls == []
+
     def test_roots_stay_out_of_equality(self, carma20):
         twin = CarmaModel(carma20.a, carma20.b, carma20.sigma2)
         object.__setattr__(twin, "roots", ())
@@ -156,7 +182,10 @@ class TestCompanion:
 
     def test_eigenvalues_match_stored_roots(self, carma30):
         assert np.allclose(np.sort_complex(carma30.roots), [-3.0, -2.0, -1.0], atol=1e-12)
-        assert np.allclose(np.sort_complex(carma30.roots), np.sort_complex(np.linalg.eigvals(carma30.companion())))
+        # the roots are those of a(z) from the one root finder, bit for bit
+        assert np.array(carma30.roots).tobytes() == poly.find_roots((*carma30.a[::-1], 1.0)).tobytes()
+        eig = np.sort_complex(np.linalg.eigvals(carma30.companion()))
+        assert np.allclose(np.sort_complex(carma30.roots), eig, rtol=0.0, atol=1e-12)
         # a triple root at -1 splits by about eps^(1/3) and stays in the left half plane
         triple = np.array(CarmaModel([3.0, 3.0, 1.0], [1.0]).roots)
         assert len(triple) == 3 and np.all(triple.real < 0.0)

@@ -110,6 +110,26 @@ class TestSpectralFactorize:
         assert not any(_factorize(reconstruct_acvf(_ma_with_nearest_root(rng, 1.0 + 1e-4), 1.0))[2]
                        for _ in range(400))
 
+    @pytest.mark.parametrize("seed, draw", [(9, 1291), (10, 3347), (11, 904)])
+    def test_unit_root_left_inside_the_segment_factors(self, seed, draw):
+        # a root at +-1 beside conjugate pairs: w = +-2 comes back a few ulp inside
+        # (-2, 2), and lifting S by its rounding bound leaves it there
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            roots = _unit_root_beside_pairs(rng)
+        theta_true = np.real(np.poly(1.0 / roots))[1:]
+        gamma = reconstruct_acvf(theta_true, 1.0)
+        s = _w_polynomial(gamma.tolist())
+        rounding = _rounding(s)
+        assert _theta(s, rounding)[0] is None
+        assert _theta([s[0] + rounding, *s[1:]], rounding)[0] is None
+        with pytest.warns(UserWarning, match="boundary"):
+            theta, tau2, boundary = _factorize(gamma)
+        assert boundary
+        assert np.max(np.abs(theta - theta_true)) <= 1e-10
+        assert tau2 == pytest.approx(1.0, rel=1e-10, abs=0.0)
+        assert np.max(np.abs(reconstruct_acvf(theta, tau2) - gamma)) <= 1e-13 * gamma[0]
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -130,6 +150,20 @@ def _ma_with_nearest_root(rng, nearest: float) -> np.ndarray:
     moduli = [nearest] + list(10.0 ** rng.uniform(0.05, 0.5, int(rng.integers(0, 4))))
     roots = np.array(moduli) * rng.choice([-1.0, 1.0], len(moduli))
     return np.real(np.poly(1.0 / roots))[1:]
+
+
+def _unit_root_beside_pairs(rng) -> np.ndarray:
+    """One root at exactly +-1, and 0-3 factors of modulus 10^U(0.05, 0.5), each a
+    real root of either sign or a conjugate pair at an angle U(0, pi)."""
+    roots = [rng.choice([-1.0, 1.0])]
+    for _ in range(int(rng.integers(0, 4))):
+        modulus = 10.0 ** rng.uniform(0.05, 0.5)
+        if rng.random() < 0.5:
+            roots.append(modulus * rng.choice([-1.0, 1.0]))
+        else:
+            z = modulus * np.exp(1j * rng.uniform(0.0, np.pi))
+            roots += [z, np.conj(z)]
+    return np.array(roots, dtype=complex)
 
 
 def _rounding(s: list) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carmahf.poly import find_roots
+from carmahf.poly import _horner, find_roots
 
 
 def test_find_roots_factorable():
@@ -100,3 +100,18 @@ def test_find_roots_ignores_trailing_zeros():
     assert find_roots([2, 3, 1, 0, 0]).tobytes() == find_roots([2, 3, 1]).tobytes()
     with pytest.raises(ValueError):
         find_roots([4, 0, 0])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "overflow"])
+def test_horner_bit_identical_to_np_polyval(kind):
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        coeffs = rng.standard_normal(int(rng.integers(1, 10)))
+        x = rng.standard_normal(40) * 10.0 ** rng.uniform(-3, 3, 40)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(40) * 10.0 ** rng.uniform(-3, 3, 40)
+        elif kind == "overflow":
+            x = np.concatenate([x * 1e200, [np.inf, -np.inf, 1e300j]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _horner(coeffs, x), np.polyval(coeffs[::-1], x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import carmahf as chf
-from carmahf import CarmaModel, core
+from carmahf import CarmaModel, core, poly
 from carmahf.sampling import (
     CoarseSamplingWarning,
     CovSequence,
@@ -40,19 +40,22 @@ class TestGridChecks:
                     quantity(ou, delta)
 
     def test_prebuilt_model_is_not_rechecked(self, monkeypatch, carma30):
-        # the roots are solved once, when the model is built: no Delta-grid or
-        # small-Delta quantity builds the companion matrix again
+        # a(z) is solved once, when the model is built: no Delta-grid or
+        # small-Delta quantity solves it again
+        a = (*carma30.a[::-1], 1.0)
         calls = []
-        companion = CarmaModel.companion
-        monkeypatch.setattr(CarmaModel, "companion", lambda self: calls.append(1) or companion(self))
+        find_roots = poly.find_roots
+        monkeypatch.setattr(poly, "find_roots", lambda c: calls.append(tuple(c) == a) or find_roots(c))
         chf.sampled_arma(carma30, 0.01)
         chf.filter_coefficients(carma30, 0.01)
         chf.spectral_density_filtered(carma30, 0.01, [0.5, np.pi])
         chf.gamma_ma_asymptotic(carma30, 0.01, 1)
         chf.f_ma_asymptotic(carma30, 0.01, [0.5, np.pi])
-        assert calls == []
+        chf.differenced_spectrum_asymptotic(carma30, 0.01, [0.5, np.pi])
+        assert not any(calls)
+        calls.clear()
         CarmaModel(carma30.a, carma30.b)
-        assert calls == [1]
+        assert calls == [True]
 
     def test_coarse_warning(self, carma20):
         # pytest.warns records the warning that the pytest configuration ignores
