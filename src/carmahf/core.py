@@ -1,15 +1,14 @@
 """Continuous-time CARMA layer and the sampled state-space core.
 
-The model and its stability rule, the coprimality rule of :func:`validate`,
-the one Delta rule, companion state-space matrices, the causal kernel g, the
+The model and its stability rule, the coprimality rule of :func:`validate`, the
+one Delta rule, companion state-space matrices, the causal kernel g, the
 continuous-time autocovariance and spectral density, the stationary state
-covariance, and the sampled system (F, Q_Delta, b) in
-Delta-scaled coordinates that every Delta-grid quantity derives from; the
-kernel and the continuous-time autocovariance at lag h read it at Delta = h.
-No route reads the autoregressive roots, so every root multiplicity takes the
-same route: the matrix exponential is one fixed [13/13] Pade approximant of the
-norm-capped Van Loan block, in numpy, and Sigma is one exact solve in Python
-integers.
+covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled coordinates
+that every Delta-grid quantity derives from; the kernel and the continuous-time
+autocovariance at lag h read it at Delta = h.  No route reads the AR roots, so
+every root multiplicity takes the same route: the matrix exponential is one
+fixed [13/13] Pade approximant of the norm-capped Van Loan block, and stability
+and Sigma come from one exact integer elimination of the Hurwitz matrix.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import poly
 
-#: An AR root is stable when its real part is below -STABILITY_MARGIN: the boundary is unstable.
-STABILITY_MARGIN = 1e-12
 #: Relative backward error at which :func:`validate` reads a shared zero.
 BACKWARD_TOL = 1e-12
 
@@ -46,10 +43,10 @@ class CarmaModel:
 
     Construction raises :class:`ModelError` naming the first violated
     assumption: ``bad_orders``, ``nonpositive_sigma2``, ``non_finite``,
-    ``bad_normalization`` or ``unstable_ar``.  ``roots`` keeps the roots of a(z)
-    from :func:`poly.find_roots`, outside equality and hashing; they serve only
-    the stability test, :func:`validate`, ``sampling.coarseness`` and Euler's
-    step check.  An m-fold root comes out split by about eps^(1/m).
+    ``bad_normalization`` or ``unstable_ar`` (exact: :func:`_hurwitz`).  ``roots``
+    keeps the roots of a(z) from :func:`poly.find_roots`, outside equality and
+    hashing; they serve only :func:`validate`, ``sampling.coarseness`` and
+    Euler's step check.  An m-fold root comes out split by about eps^(1/m).
     """
 
     a: tuple
@@ -71,10 +68,9 @@ class CarmaModel:
             raise ModelError("non_finite", f"a, b and sigma2 must be finite, got {self.a}, {self.b}, {self.sigma2}")
         if self.b[-1] != 1.0:
             raise ModelError("bad_normalization", f"leading MA coefficient must be 1, got {self.b[-1]}")
-        roots = poly.find_roots((*self.a[::-1], 1.0))
-        if not np.all(roots.real < -STABILITY_MARGIN):
+        if _hurwitz(self.a) is None:
             raise ModelError("unstable_ar", "autoregressive roots must lie strictly in the left half plane")
-        object.__setattr__(self, "roots", tuple(roots.tolist()))
+        object.__setattr__(self, "roots", tuple(poly.find_roots((*self.a[::-1], 1.0)).tolist()))
 
     @property
     def p(self) -> int:
@@ -188,6 +184,28 @@ def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
     return float(v[-1])
 
 
+def _hurwitz(a) -> list | None:
+    """den [H | (-1)^(p-1) e_1] brought to upper triangular form; None at the first pivot <= 0.
+
+    H_ij = a_(2j-i+1) (a_0 = 1, a_k = 0 outside 0..p) is the Hurwitz matrix of
+    a(z), integer once scaled by den, the largest denominator of the a_j.
+    Fraction-free elimination (Bareiss 1968) makes the k-th pivot den^k times
+    the k-th leading Hurwitz determinant, so the rows come back, with
+    no pivot search, exactly when every root of a(z) has Re < 0 (Hurwitz 1895).
+    """
+    p, den = len(a), max(x.as_integer_ratio()[1] for x in a)
+    c = [0] * p + [den, *(n * den // d for n, d in map(float.as_integer_ratio, a))] + [0] * p  # den a_k at p + k
+    H = [c[p - i + 1 : 3 * p - i + 1 : 2] + [den * (-1) ** (p - 1) * (i == 0)] for i in range(p)]
+    prev = 1
+    for k in range(p):
+        if H[k][k] <= 0:
+            return None
+        for i in range(k + 1, p):
+            H[i] = [(H[k][k] * x - H[i][k] * y) // prev for x, y in zip(H[i], H[k])]
+        prev = H[k][k]
+    return H
+
+
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T.
 
@@ -196,36 +214,18 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     so Sigma = sum_k c_k B_k has p unknowns, not p^2 (Astrom 1970).  In that
     checkerboard form the equation (i, j) with i, j < p-1 reads
     Sigma_(i+1,j) + Sigma_(i,j+1) = 0 and holds identically, and (i, p-1) is
-    the transpose of (p-1, i), so only the p equations of the last row are
-    left, one p x p system K c = -e_p.  K is nonsingular exactly when the
-    Kronecker sum is, that is when no two AR roots sum to zero, as they never
-    do in the open left half plane: c -> A Sigma(c) + Sigma(c) A^T is
-    injective and vanishes identically off the last row and column.
-
-    Each entry of K is a sum of two of 0, +-1 and +-a_j, so den K is an integer
-    matrix (den: the largest denominator of the binary fractions a_j).
-    Fraction-free Gauss-Jordan (Bareiss 1968) solves it exactly in Python
-    integers, and one int / int division per c_k rounds it correctly, with no
-    scaling; a c_k beyond the float range raises ModelError("sigma_overflow").
+    the transpose of (p-1, i), so the p last-row equations are left: reversed,
+    in c_(p-1), ..., c_0, the Hurwitz system H x = (-1)^(p-1) e_1 of
+    :func:`_hurwitz` with the diagonal equation doubled.  Back substitution in
+    integers gives det x exactly, so each c_k is one correctly rounded int / int
+    division; one past the float range raises ModelError("sigma_overflow").
     """
-    p = model.p
-    ratios = [x.as_integer_ratio() for x in model.a[::-1]]
-    den = max(d for _, d in ratios)
-    D = {(i, i + 1): den for i in range(p - 1)} | {(p - 1, j): -n * (den // d) for j, (n, d) in enumerate(ratios)}
-    K = [  # the last-row equations den K c = -den e_p, augmented; D holds the nonzero entries of den A
-        [(-1) ** j * D.get((p - 1, 2 * k - j), 0) - (-1) ** p * D.get((j, 2 * k - p + 1), 0) for k in range(p)]
-        + [-den * (j == p - 1)]
-        for j in range(p)
-    ]
-    prev = 1
-    for k in range(p):
-        K[k:] = sorted(K[k:], key=lambda row: not row[k])  # a nonzero pivot first
-        for i in range(p):
-            if i != k:
-                K[i] = [(K[k][k] * x - K[i][k] * y) // prev for x, y in zip(K[i], K[k])]
-        prev = K[k][k]
+    p, U = model.p, _hurwitz(model.a)
+    det, y = U[p - 1][p - 1], []  # y = det x, from the last row up
+    for k in reversed(range(p)):
+        y.insert(0, (det * U[k][p] - sum(u * v for u, v in zip(U[k][k + 1 : p], y))) // U[k][k])
     try:
-        c = np.array([row[p] / row[k] for k, row in enumerate(K)])
+        c = np.array([v / (2 * det) for v in y[::-1]])
     except OverflowError:
         raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
     ij = np.arange(p)[:, None] + np.arange(p)

@@ -210,6 +210,13 @@ def mp_gamma_ma(model, delta):
     phi_j are the coefficients of det(I - F B), the characteristic polynomial
     of F = e^(A delta) by Faddeev-LeVerrier, and
     gamma_MA(n) = sum_(j,k) phi_j phi_k gamma_Y((n + j - k) delta).
+
+    gamma_MA comes from gamma_Y, built from Sigma, so the sum cancels about
+    log10(gamma_Y(0) / gamma_MA(0)) digits.  On a model with AR roots near the
+    imaginary axis that exceeds 80: for the AR roots -2.53e-13, -1.99e-14,
+    -1.60e-13 +- 0.386i and -0.443, b = (1) and delta = 1e-4, it is 77, and
+    80 digits give gamma_MA(0) = 3.957e-37 against 4.303987220943075e-37 at
+    150 and at 250 digits.  Such a model needs a higher working precision.
     """
     p = model.p
     A, b, sigma = mp_system(model)

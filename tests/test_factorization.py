@@ -248,6 +248,19 @@ class TestForwardAccuracy:
                 assert np.abs(np.array(got) - gamma).max() <= FORWARD_BOUND * gamma[0]
                 assert_theta_tau2_close(arma, theta, tau2)
 
+    def test_roots_near_the_imaginary_axis(self):
+        # Four AR roots with real parts -2.5e-13 to -2e-14, a model that the Hurwitz rule
+        # admits.  gamma_Y(0) / gamma_MA(0) is 1e77, so the reference needs 150 digits
+        # (conftest.mp_gamma_ma).  Measured: phi within 2.4 eps of each entry, gamma_MA
+        # within 9.3 eps of gamma_MA(0); the bounds leave a margin of 3.
+        z = complex(-1.5985692484572663e-13, 0.3862266931683426)
+        m = roots_model([-2.534097938600612e-13, -1.9924196704184472e-14, z, z.conjugate(), -0.44252929986271383], [])
+        arma = chf.sampled_arma(m, 1e-4)
+        with mp.workdps(150):
+            phi, gamma = (np.array(x, dtype=float) for x in mp_gamma_ma(m, 1e-4))
+        assert np.all(np.abs(np.array(arma.phi) - phi) <= 8 * EPS * np.abs(phi))
+        assert np.abs(np.array(arma.gamma) - gamma).max() <= 28 * EPS * gamma[0]
+
     @pytest.mark.xfail(reason="theta's zeros near z = 1 are not resolved from float gamma_MA")
     @pytest.mark.parametrize("delta", [1e-2, 1e-3])
     def test_p5q4_small_delta(self, delta):
