@@ -5,10 +5,10 @@ one Delta rule, companion state-space matrices, the causal kernel g, the
 continuous-time autocovariance and spectral density, the stationary state
 covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled coordinates
 that every Delta-grid quantity derives from; the kernel and the continuous-time
-autocovariance at lag h read it at Delta = h.  No route reads the AR roots, so
-every root multiplicity takes the same route: the matrix exponential is one
-fixed [13/13] Pade approximant of the norm-capped Van Loan block, and stability
-and Sigma come from one exact integer elimination of the Hurwitz matrix.
+autocovariance at lag h square e^(A x) for a scaled step x = h / 2^s.  No route
+reads the AR roots, so every root multiplicity takes the same route: the matrix
+exponential is one fixed [13/13] Pade approximant of a norm-capped scaled block,
+and stability and Sigma come from one exact integer elimination of the Hurwitz matrix.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ def _like(x, out) -> np.ndarray | float:
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x, b_j ~ (26-j)! / (j! (13-j)!).
 _PADE13 = [math.factorial(26 - j) / (math.factorial(j) * math.factorial(13 - j)) for j in range(14)]
-#: Largest 1-norm of a Van Loan block exponentiated whole.  Below theta_13 = 4.25 the [13/13]
-#: Pade approximant has backward error below unit roundoff (Al-Mohy & Higham 2009, Table 3.1).
+#: Largest 1-norm of a scaled block (the Van Loan block, or the kernel's S x) exponentiated whole.
+#: Below theta_13 = 4.25 the [13/13] Pade approximant has backward error below unit roundoff
+#: (Al-Mohy & Higham 2009, Table 3.1).
 _BLOCK_NORM = 4.0
 _TINY = np.finfo(float).tiny
 
@@ -157,8 +158,8 @@ def _pade13(M: np.ndarray) -> np.ndarray:
 def kernel_values(model: CarmaModel, t) -> np.ndarray | float:
     """The causal kernel g at the times t: a float for a scalar t, else an array.
 
-    g(t) = b^T e^(At) e_p for t > 0, read off the sampled system at Delta = t
-    (:func:`_b_exp`), and 0 for t < 0 and for t = inf, where g decays to 0.
+    g(t) = b^T e^(At) e_p for t > 0, by scaling and squaring (:func:`_b_exp`),
+    and 0 for t < 0 and for t = inf, where g decays to 0.
     At t = 0 the right limit g(0+) = b_(p-1) is returned (nonzero only when
     p - q = 1); a NaN time gives NaN.
     """
@@ -236,9 +237,9 @@ def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     """Autocovariance gamma_Y(h) of the continuous-time process.
 
     The state-space identity sigma2 * b^T e^(A|h|) Sigma b, with b^T e^(A|h|)
-    read off the sampled system at Delta = |h| (:func:`_b_exp`); valid for
-    every root multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself, and an
-    infinite lag gives the limit 0; a NaN lag gives NaN.
+    by scaling and squaring (:func:`_b_exp`); valid for every root
+    multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself, and an infinite lag
+    gives the limit 0; a NaN lag gives NaN.
     """
     h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
     b = model.b_vector()
@@ -251,25 +252,26 @@ def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
 
 
 def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
-    """The rows b^T e^(A h) = (b_h^T F) T^-1 for lags h != 0, with (F, Q, b_h) the sampled system at h.
+    """The rows b^T e^(A h) = (b^T T) F^(2^s) T^-1 for lags h != 0, F = e^(S x) by :func:`_pade13`.
 
-    T = diag(h^(p-1), ..., h, 1).  Where h^(p-1-k) is not a normal float,
-    h ||A|| is far below rounding and the entry is b_k itself.  A finite lag
-    whose row is not finite, as past the float range of the block or of T, is read
-    as (e^(A x))^(h/x): T F T^-1 at the largest finite x = h / 2^s, squared s times.
+    x = h / 2^s with s the least that brings the 1-norm of S x, S = T^-1 A T and
+    T = diag(x^(p-1), ..., x, 1), within ``_BLOCK_NORM``; x is set by the model's
+    time scale, so T is in float range at every finite lag.  Where x^(p-1-k) is
+    not a normal float, x ||A|| is far below rounding and the entry is b_k itself.
     """
     p, b = model.p, model.b_vector()
     k = p - 1.0 - np.arange(p)
+    rows = np.empty((len(h), p))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows = np.array([bh @ F for F, _, bh in (sampled_state_space(model, x) for x in h)]).reshape(len(h), p)
-        t = h[:, None] ** k
-        rows = np.where(t < _TINY, b, rows / t)
-        for i in np.flatnonzero(~np.isfinite(rows).all(1) & np.isfinite(h)):
-            x, E = h[i], np.nan
-            while not np.isfinite(E).all():
-                x /= 2.0
-                E = (x**k)[:, None] * sampled_state_space(model, x)[0] / x**k
-            rows[i] = b @ np.linalg.matrix_power(E, int(h[i] / x))
+        for i, x in enumerate(h):
+            s = 0
+            while _BLOCK_NORM < _norm1(Sx := _van_loan_block(model, x)[:p, :p]):
+                x, s = x / 2.0, s + 1
+            F = _pade13(Sx)
+            for _ in range(s):
+                F = F @ F
+            t = x**k
+            rows[i] = np.where(t < _TINY, b, (t * b) @ F / t)
     return rows
 
 

@@ -136,7 +136,11 @@ def _theta(s: list, rounding: float, ends=()) -> tuple[np.ndarray | None, bool]:
     and inside the segment on e's side: an exact unit root of theta, z = e / 2,
     that rounding left inside.
     """
-    roots = poly.find_roots(s).tolist()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = poly.find_roots(s).tolist()
+    except np.linalg.LinAlgError as exc:  # the companion of S is past the float range
+        raise FactorizationError("non_finite", f"the roots of S(w) are not computable: {exc}") from None
     for e in ends:
         near = min(roots, key=lambda w: abs(w - e))
         if near.imag == 0.0 and 0.0 < near.real * e < 4.0:
@@ -146,6 +150,8 @@ def _theta(s: list, rounding: float, ends=()) -> tuple[np.ndarray | None, bool]:
     r = []
     for w in roots:
         root = cmath.sqrt((w - 2.0) * (w + 2.0))
+        if not cmath.isfinite(root):  # (w - 2)(w + 2) overflows; the sign of root is not used
+            root = cmath.sqrt(w - 2.0) * cmath.sqrt(w + 2.0)
         r.append((w + root if abs(w + root) >= abs(w - root) else w - root) / 2.0)
     boundary = any(abs(poly._horner(s, min(max(w.real, -2.0), 2.0))) <= rounding for w in roots)
     return np.array([x.real for x in _unit_product(r)[1:]]), boundary

@@ -315,6 +315,14 @@ def test_failed_write_closes_the_output_file():
     assert "ResourceWarning" not in proc.stderr
 
 
+def test_coarse_delta_theta_is_finite(capsys):
+    # at delta = 400 the root w of S is about -1e174, and (w - 2)(w + 2) overflows
+    assert run_cli(["sampled-arma", str(MODELS / "carma20.json"), "--delta", "400", "--no-timestamp"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert [r[0] for r in rows] == ["phi", "phi", "phi", "theta", "tau2", "reconstruction_residual"]
+    assert np.isfinite([float(r[2]) for r in rows]).all()
+
+
 def test_coarse_delta_is_exact(capsys):
     # gamma_MA(0) -> gamma_Y(0) = 1/120 once the samples decorrelate
     assert run_cli(["acvf", CARMA30, "--delta", "50", "--no-timestamp"]) == 0

@@ -434,9 +434,9 @@ def mp_scaled_exp(A, t):
 
 
 class TestMatrixExp:
-    """The one matrix exponential, the [13/13] Pade approximant of the norm-capped
-    Van Loan block, checked through the outputs that read it: the sampled system,
-    the kernel and the continuous-time autocovariance."""
+    """The one matrix exponential, the [13/13] Pade approximant of a norm-capped
+    scaled block, checked through the outputs that read it: the sampled system (its
+    Van Loan block), and the kernel and the continuous-time autocovariance (S x)."""
 
     # (a, b) with distinct, double, quadruple and nearly repeated AR roots
     VAN_LOAN_MODELS = (
@@ -567,13 +567,28 @@ class TestEdgeLags:
         ids=["carma21", "roots-1..-5"],
     )
     def test_lags_beyond_the_scaled_range(self, a, b, lags):
-        # The Van Loan block of h overflows past h ~ 9.5e153 (carma21) and ~1.1e61 (AR roots
-        # -1..-5); the first lag is just inside.  Every value underflows to 0, with no warning.
+        # S h overflows past h ~ 9.5e153 (carma21) and ~1.1e61 (AR roots -1..-5), the first lag
+        # just inside; the kernel halves h to the model's time scale all the same.  Every value
+        # underflows to 0, with no warning.
         m = CarmaModel(a, b)
         h = [*lags, *(-x for x in lags)]
         assert chf.kernel_values(m, h).tolist() == chf.acvf_continuous(m, h).tolist() == [0.0] * 6
         g_ref, gamma_ref = mp_kernel_acvf(m, lags[:1])
         assert chf.kernel_values(m, lags[0]) == g_ref[0] and chf.acvf_continuous(m, lags[0]) == gamma_ref[0]
+
+    @pytest.mark.parametrize("a, b", MODELS)
+    def test_kernel_needs_no_sampled_system(self, a, b, monkeypatch):
+        # g and gamma_Y square e^(S x) themselves: with the sampled system refused, every lag,
+        # out to 1e300, gives the value it gave before
+        m, lags = CarmaModel(a, b, sigma2=0.7), np.concatenate([self.LAGS, [1e3, 1e10, 1e30, 1e100, 1e300]])
+        g, gamma = chf.kernel_values(m, lags), chf.acvf_continuous(m, lags)
+
+        def refused(model, delta):
+            raise AssertionError("the kernel reads the sampled system")
+
+        monkeypatch.setattr(core, "sampled_state_space", refused)
+        assert np.array_equal(chf.kernel_values(m, lags), g)
+        assert np.array_equal(chf.acvf_continuous(m, lags), gamma)
 
     @pytest.mark.xfail(strict=True, reason="the doubling F <- F F amplifies rounding on this non-normal model")
     def test_lightly_damped_near_fourfold_pair(self):

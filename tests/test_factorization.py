@@ -348,6 +348,30 @@ class TestSampledArma:
         assert arma.gamma == chf.acvf_filtered_sequence(m, 0.05).values
         assert chf.reconstruction_residual(arma) < 1e-9
 
+    @pytest.mark.parametrize("delta", [400.0, 500.0, 700.0])
+    @pytest.mark.parametrize("name", ["carma20", "carma21"])
+    def test_coarse_delta_against_mpmath(self, name, delta, request):
+        # gamma_MA(1) / gamma_MA(0) is 1e-174 to 1e-304, so the root w of S is past 1e174 and
+        # (w - 2)(w + 2) overflows.  theta carries gamma_MA(1)'s own error, at most 1.5e-13
+        # relative, and tau2 1.2e-15; the bounds leave a factor of 4.
+        m = request.getfixturevalue(name)
+        arma = chf.sampled_arma(m, delta)
+        with mp.workdps(80):
+            theta, tau2 = mp_theta(mp_gamma_ma(m, delta)[1])
+            theta, tau2 = float(theta[0]), float(tau2)
+        assert abs(arma.theta[0] - theta) <= 6e-13 * abs(theta)
+        assert abs(arma.tau2 - tau2) <= 5e-15 * tau2
+
+    def test_roots_of_s_past_the_float_range_are_a_typed_error(self):
+        # gamma_MA = (0.06, -4.05e-101, -3.92e-201, 5.1e-313): the companion of S overflows
+        m = CarmaModel(
+            [10.482475481411111, 41.56476480634253, 74.07302997440826, 50.28330299608125],
+            [-0.9188495785635469, 0.057785793632724625, -0.40437394688703, 1.0],
+        )
+        with pytest.raises(FactorizationError) as exc:
+            chf.sampled_arma(m, 100.0)
+        assert exc.value.reason == "non_finite"
+
 
 def _strictly_invertible(theta) -> bool:
     """Schur-Cohn step-down: every reflection coefficient of theta has |k| < 1."""
