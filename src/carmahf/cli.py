@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         code, message = EXIT_VALIDATION, f"invalid model ({exc.reason}): {exc}"
     except FactorizationError as exc:
         code, message = EXIT_NUMERIC, f"factorization failed ({exc.reason}): {exc}"
-    except np.linalg.LinAlgError as exc:  # a covariance that is not numerically positive definite
+    except np.linalg.LinAlgError as exc:  # a transition covariance Q that is not numerically positive definite
         code, message = EXIT_NUMERIC, f"linear algebra failed: {exc}"
     else:
         for w in caught:

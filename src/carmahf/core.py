@@ -126,8 +126,8 @@ def _check_delta(delta: float) -> None:
 
 
 def _like(x, out) -> np.ndarray | float:
-    """The one scalar rule: a float for a 0-d ``x`` (``out`` then holds one value), else ``out``."""
-    return out.item() if np.ndim(x) == 0 else out
+    """The one shape rule: a float for a 0-d ``x`` (``out`` then holds one value), else ``out`` in x's shape."""
+    return out.item() if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x, b_j ~ (26-j)! / (j! (13-j)!).
@@ -207,6 +207,19 @@ def _hurwitz(a) -> list | None:
     return H
 
 
+def _sigma_integers(model: CarmaModel) -> tuple:
+    """(y, 2 det) with 2 det Sigma_ij = (-1)^i y_((i+j)/2) for even i + j, all Python integers.
+
+    det is the last Hurwitz pivot of :func:`_hurwitz`, and y = det x comes
+    from integer back substitution in its Hurwitz system, in the order c_0..c_(p-1).
+    """
+    p, U = model.p, _hurwitz(model.a)
+    det, y = U[p - 1][p - 1], []  # y = det x, from the last row up
+    for k in reversed(range(p)):
+        y.insert(0, (det * U[k][p] - sum(u * v for u, v in zip(U[k][k + 1 : p], y))) // U[k][k])
+    return y[::-1], 2 * det
+
+
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     """Stationary covariance Sigma (per unit sigma2): A Sigma + Sigma A^T = -e_p e_p^T.
 
@@ -221,16 +234,41 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     integers gives det x exactly, so each c_k is one correctly rounded int / int
     division; one past the float range raises ModelError("sigma_overflow").
     """
-    p, U = model.p, _hurwitz(model.a)
-    det, y = U[p - 1][p - 1], []  # y = det x, from the last row up
-    for k in reversed(range(p)):
-        y.insert(0, (det * U[k][p] - sum(u * v for u, v in zip(U[k][k + 1 : p], y))) // U[k][k])
+    y, den = _sigma_integers(model)
     try:
-        c = np.array([v / (2 * det) for v in y[::-1]])
+        c = np.array([v / den for v in y])
     except OverflowError:
         raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
+    p = model.p
     ij = np.arange(p)[:, None] + np.arange(p)
     return np.where(ij % 2, 0.0, (-1.0) ** np.arange(p)[:, None] * c[ij // 2])  # Sigma_ij = (-1)^i c_((i+j)/2)
+
+
+def _sigma_factor(model: CarmaModel) -> np.ndarray:
+    """R = L sqrt(D) with Sigma = L D L^T exactly, L unit lower triangular: R R^T = Sigma to rounding.
+
+    The LDL^T of the integer checkerboard C = 2 det Sigma (:func:`_sigma_integers`)
+    is taken fraction-free (Bareiss 1968): the k-th pivot C^(k)_kk is the
+    (k+1)-th leading minor of C, so L_ik = C^(k)_ik / C^(k)_kk and
+    D_k = C^(k)_kk / C^(k-1)_(k-1,k-1) / (2 det), each one correctly rounded
+    int / int division.  Sigma is positive definite ((A, e_p) is controllable),
+    so every pivot is positive, even where the rounded Sigma fails plain
+    Cholesky.  An entry past the float range raises ModelError("sigma_overflow").
+    """
+    p, (y, den) = model.p, _sigma_integers(model)
+    C = [[0 if (i + j) % 2 else (-1) ** i * y[(i + j) // 2] for j in range(p)] for i in range(p)]
+    R, prev = np.zeros((p, p)), 1
+    try:
+        for k in range(p):
+            piv = C[k][k]
+            R[k:, k] = [C[i][k] / piv for i in range(k, p)]
+            R[k:, k] *= math.sqrt(piv / (prev * den))
+            for i in range(k + 1, p):
+                C[i] = [(piv * x - C[i][k] * z) // prev for x, z in zip(C[i], C[k])]
+            prev = piv
+    except OverflowError:
+        raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
+    return R
 
 
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
@@ -282,18 +320,17 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     x = 1/(i omega) with reversed coefficients: |b(i omega)|^2 / |a(i omega)|^2
     = |omega|^(2(q-p)) |x^q b(1/x)|^2 / |x^p a(1/x)|^2.
     """
-    w = np.asarray(omega, dtype=float)
-    v = np.atleast_1d(w)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        iw = 1j * v
+        iw = 1j * w
         num = np.abs(poly._horner(model.b, iw)) ** 2
         den = np.abs(poly._horner((*model.a[::-1], 1.0), iw)) ** 2
-    far = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(v) > 1.0)
+    far = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(w) > 1.0)
     if far.any():
-        x = -1j * (1.0 / v[far])
-        num[far] = np.abs(poly._horner(model.b[::-1], x)) ** 2 * np.abs(v[far]) ** (2.0 * (model.q - model.p))
+        x = -1j * (1.0 / w[far])
+        num[far] = np.abs(poly._horner(model.b[::-1], x)) ** 2 * np.abs(w[far]) ** (2.0 * (model.q - model.p))
         den[far] = np.abs(poly._horner((1.0, *model.a), x)) ** 2
-    return _like(w, (model.sigma2 / (2.0 * np.pi) * num / den).reshape(w.shape))
+    return _like(omega, model.sigma2 / (2.0 * np.pi) * num / den)
 
 
 def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:

@@ -97,10 +97,10 @@ def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:
 
 
 def _shifted(model: CarmaModel, delta: float, omega) -> tuple:
-    """e^(-i omega) I - F^T stacked over the omega grid, with Q and b, from one sampled system."""
+    """e^(-i omega) I - F^T stacked over the flattened omega grid, with Q and b, from one sampled system."""
     _check_grid(model, delta)
     F, Q, b = core.sampled_state_space(model, delta)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    w = np.ravel(np.asarray(omega, dtype=float))
     return np.exp(-1j * w)[:, None, None] * np.eye(model.p) - F.T, Q, b
 
 

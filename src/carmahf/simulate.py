@@ -3,16 +3,17 @@
 Exact Gaussian transitions for the Brownian driver, Euler for Brownian or
 compound-Poisson drivers, and the empirical second-order estimators used as
 Monte Carlo oracles.  Both simulators run one recursion on the Delta grid from
-a draw of the stationary law, with no burn-in; only the step (F, G) and its
-noise differ.  The exact step is the Delta-scaled sampled system (F, Q, b) of
-:func:`core.sampled_state_space`, the one every Delta-grid quantity reads, and
-Euler's substeps fold exactly into one Delta step.  One propagator, a doubling
-scan of real numpy matmuls within fixed blocks, takes every root multiplicity
-the same way and draws the noise one block at a time, in state coordinates: no
-array but the path grows with its length or with Euler's substeps.  Models are
-valid once built; only Delta (:func:`core._check_delta`) and n are checked.
-Covariances are factored by plain Cholesky: one that is not positive definite
-raises numpy's LinAlgError rather than being perturbed.
+a draw of the stationary law, with no burn-in; only the step F, the raw noise
+and its map M into state coordinates differ.  The exact step is the
+Delta-scaled sampled system (F, Q, b) of :func:`core.sampled_state_space`, the
+one every Delta-grid quantity reads, and Euler's substeps fold exactly into one
+Delta step.  One propagator, a doubling scan of real numpy matmuls within
+blocks of about _BLOCK noise numbers, takes every root multiplicity the same
+way.  Models are valid once built; only Delta (:func:`core._check_delta`) and
+n are checked.  The stationary draw uses the exact factor of Sigma
+(:func:`core._sigma_factor`), so every valid model simulates; the exact step's
+Q is factored by plain Cholesky, and one that is not positive definite raises
+numpy's LinAlgError rather than being perturbed.
 
 RNG contract: numpy's PCG64 via ``default_rng``.  Each path gets its own
 SeedSequence substream (``spawn_seeds``), and identical (model, delta, n,
@@ -22,6 +23,7 @@ seed, scheme) reproduce bit-identical arrays within one artifact version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from . import core, sampling
 from .core import CarmaModel
 from .sampling import CovSequence
 
-#: Steps per block of the propagator's doubling scan; the state is carried between blocks.
+#: Noise numbers per block of the propagator's doubling scan; the state is carried between blocks.
 _BLOCK = 2**16
 #: empirical_filtered_acvf needs at least this many points per AR order.
 MIN_LENGTH_PER_ORDER = 100
@@ -81,24 +83,26 @@ def _check_path(delta: float, n: int) -> None:
         raise ValueError(f"path length n must be >= 0, got {n}")
 
 
-def _propagate(b_out: np.ndarray, F: np.ndarray, draw, m: int, x0: np.ndarray) -> tuple:
+def _propagate(b_out: np.ndarray, F: np.ndarray, noise, M: np.ndarray, m: int, x0: np.ndarray) -> tuple:
     """y[k] = b_out . x[k] for x[k] = F x[k-1] + v[k-1] (k = 1..m), x[0] = x0.
 
-    Returns (y[0..m], x[m]); m = -1 gives an empty y.  ``draw(k)`` returns
-    the next k rows of v as a fresh array, and is called once per block of at
-    most ``_BLOCK`` steps, so no array grows with m except y.  Within a block
-    the recursion is a linear prefix sum x[i] = sum_(j<=i) F^(i-j) v[j], with
-    the state carried in from the previous block folded into the first v.  A
-    Hillis-Steele doubling scan takes it: step k adds F^k times the partial
-    sum k places back, so ceil(log2(_BLOCK)) real matmuls per block cover
-    every root multiplicity the same way, and the number of passes over a
-    block does not grow with the path length.
+    Returns (y[0..m], x[m]); m = -1 gives an empty y.  The rows of v are
+    ``noise((k, w)) @ M.T``, the raw noise mapped into state coordinates by the
+    p x w matrix M, drawn per block of max(1, _BLOCK // w) steps: each
+    block draws about ``_BLOCK`` numbers, and no array grows with m except y.
+    Within a block the recursion is a linear prefix sum x[i] = sum_(j<=i)
+    F^(i-j) v[j], with the state carried in from the previous block folded
+    into the first v.  A Hillis-Steele doubling scan takes it: step k adds F^k
+    times the partial sum k places back, so at most ceil(log2(_BLOCK)) real
+    matmuls per block cover every root multiplicity the same way, and the
+    number of passes over a block does not grow with the path length.
     """
     y = np.empty(m + 1)
     y[:1] = b_out @ x0
-    x = x0
-    for s in range(0, m, _BLOCK):
-        v = draw(min(_BLOCK, m - s))
+    x, w = x0, M.shape[1]
+    steps = max(1, _BLOCK // w)
+    for s in range(0, m, steps):
+        v = noise((min(steps, m - s), w)) @ M.T
         v[0] += F @ x
         P, k = F, 1
         while k < len(v):  # after this step v[i] = sum_(j > i-2k) F^(i-j) v[j]
@@ -115,9 +119,9 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Propagates the Delta-scaled state T^-1 x through the sampled system
     (F, Q, b) of :func:`core.sampled_state_space`, T = diag(delta^(p-1), ...,
     delta, 1): transitions F with Gaussian noise of covariance sigma2 * Q, and
-    a stationary initial state drawn with T^-1 chol(sigma2 Sigma), the
-    Cholesky factor of its covariance T^-1 sigma2 Sigma T^-T.  n = 0 gives
-    an empty path.
+    a stationary initial state drawn with T^-1 sqrt(sigma2) R, where R R^T =
+    Sigma is the exact factor of :func:`core._sigma_factor`.  n = 0 gives an
+    empty path.
     """
     _check_path(delta, n)
     rng = np.random.default_rng(seed)
@@ -125,9 +129,9 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     F, Q, b = core.sampled_state_space(model, delta)
     t = delta ** np.arange(p - 1.0, -1.0, -1.0)
     Lq = np.linalg.cholesky(model.sigma2 * Q)
-    Ls = np.linalg.cholesky(model.sigma2 * core.stationary_state_covariance(model)) / t[:, None]
+    Ls = np.sqrt(model.sigma2) * core._sigma_factor(model) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
-    y = _propagate(b, F, lambda k: rng.standard_normal((k, p)) @ Lq.T, n - 1, x0)[0]
+    y = _propagate(b, F, rng.standard_normal, Lq, n - 1, x0)[0]
     return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="exact_gaussian")
 
 
@@ -156,10 +160,10 @@ def simulate_euler(
     The S = substeps steps of F_E = I + A dt within one Delta interval fold
     exactly into one Delta step, x_(j+1)S = F_E^S x_jS + G_S dl_j, where
     G_S[:, i] = F_E^(S-1-i) e_p and dl_j holds the interval's S driver
-    increments.  The path starts from chol(sigma2 Sigma) z, a draw of the
-    stationary law, with no burn-in.  The increments are drawn and folded by
-    G_S in slices of max(1, _BLOCK // substeps) Delta steps, so memory does
-    not grow with substeps.  An F_E of spectral radius >= 1 raises ValueError.
+    increments.  The path starts from sqrt(sigma2) R z, a draw of the
+    stationary law, with no burn-in.  G_S maps the raw increments, about
+    _BLOCK of them per block, into state coordinates, so only G_S grows with
+    substeps.  An F_E of spectral radius >= 1 raises ValueError.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -174,17 +178,10 @@ def simulate_euler(
     G[:, -1] = np.eye(p)[-1]
     for i in range(substeps - 1, 0, -1):
         G[:, i - 1] = FE @ G[:, i]
-    x0 = np.linalg.cholesky(model.sigma2 * core.stationary_state_covariance(model)) @ rng.standard_normal(p)
+    x0 = np.sqrt(model.sigma2) * core._sigma_factor(model) @ rng.standard_normal(p)
 
-    rows = max(1, _BLOCK // substeps)  # Delta steps per slice: about _BLOCK increments
-    def draw(k):
-        v = np.empty((k, p))
-        for i in range(0, k, rows):
-            dl = _driver_increments(rng, driver, model.sigma2, dt, (min(rows, k - i), substeps))
-            v[i : i + len(dl)] = dl @ G.T
-        return v
-
-    y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), draw, n - 1, x0)[0]
+    increments = partial(_driver_increments, rng, driver, model.sigma2, dt)
+    y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), increments, G, n - 1, x0)[0]
     return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
 
 
@@ -204,10 +201,12 @@ def empirical_filtered_acvf(result: SimulationResult, lags: int) -> CovSequence:
     u = np.convolve(y, sampling._filter_and_acvf(result.model, result.delta)[0], mode="valid")
     u = u - u.mean()
     n = len(u)
-    gam = np.array([np.dot(u[: n - h], u[h:]) / n for h in range(max(lags, p - 1) + 1)])
+    # the biased estimator is 0 at lags h >= n, where u[:n-h] would wrap around
+    gam = np.array([np.dot(u[: max(n - h, 0)], u[h:]) / n for h in range(max(lags, p - 1) + 1)])
 
     # Bartlett: Var(gamma_hat(h)) ~ (1/n) sum_j [gamma(j)^2 + gamma(j+h) gamma(j-h)],
-    # truncated at the MA order p-1 where the true sequence vanishes.
+    # truncated at the MA order p-1 where the true sequence vanishes, so every
+    # nonzero term has |j| <= m.
     m = p - 1
 
     def g(j):
@@ -215,6 +214,6 @@ def empirical_filtered_acvf(result: SimulationResult, lags: int) -> CovSequence:
 
     se = np.empty(lags + 1)
     for h in range(lags + 1):
-        s = sum(g(j) ** 2 + g(j + h) * g(j - h) for j in range(-m - lags, m + lags + 1))
+        s = sum(g(j) ** 2 + g(j + h) * g(j - h) for j in range(-m, m + 1))
         se[h] = np.sqrt(max(s, 0.0) / n)
     return CovSequence(delta=result.delta, values=tuple(gam[: lags + 1].tolist()), stderr=tuple(se.tolist()))

@@ -97,9 +97,23 @@ def coverage_models():
 
 
 #: a of a fourfold pair of AR roots at damping 1e-3 and modulus 2 (p = 8): its
-#: correctly rounded Sigma is not numerically positive definite.
+#: correctly rounded Sigma fails plain Cholesky, so the simulators draw from
+#: Sigma's exact factor (core._sigma_factor).
 _PAIR = 2.0 * complex(-1e-3, math.sqrt(1.0 - 1e-6))
 FOURFOLD_PAIR_A = np.real(np.poly([_PAIR, _PAIR.conjugate()] * 4))[1:]
+
+#: Lightly damped pairs repeated several times, where the map a -> Sigma is so
+#: ill-conditioned that a float solve loses Sigma's leading digits: the fourfold
+#: pair above, and the worst model of test_core's damped-pair family at seed 9,
+#: a fivefold pair at damping 0.01 and modulus 1.3e-3 (p = 10).
+ILL_CONDITIONED_A = {
+    "fourfold_pair": FOURFOLD_PAIR_A,
+    "fivefold_pair": [
+        0.0001387093270868829, 8.586456559667685e-06, 9.52176775737641e-10, 2.9477669151403847e-11,
+        2.4507321159663143e-15, 5.057637244718152e-17, 2.8030229755828866e-21, 4.3368818087319116e-23,
+        1.2020535377520332e-27, 1.4868689169585643e-29,
+    ],
+}
 
 
 # The one high-precision reference: the state space (A, b, Sigma) in mpmath, from

@@ -16,6 +16,7 @@ from carmahf import CarmaModel, ModelError, core, poly
 
 from conftest import (
     FOURFOLD_PAIR_A,
+    ILL_CONDITIONED_A,
     coverage_models,
     mp_continuous_density,
     mp_kernel_acvf,
@@ -650,6 +651,28 @@ def random_models(seed, n, p_min, repeat, pair, draw_pair):
     return models
 
 
+def spread_families():
+    """Six seeded (models, floor) families, p <= 10, b = (1) and sigma2 = 1.
+
+    Spread (seed 1104, 160 draws): real roots -10^U(-3, 6) and conjugate pairs
+    of modulus 10^U(-3, 6) at a uniform angle, each root or pair repeated with
+    probability 0.2.  Damped pairs (seeds 5 to 9, 80 draws each, p >= 2): the
+    last root or pair repeated with probability 0.3, else a pair
+    r (-zeta +- i sqrt(1 - zeta^2)) with r = 10^U(-3, 6) and zeta = 10^U(-3, 0)
+    with probability 0.6, else a real root.
+    """
+
+    def spread_pair(rng):
+        return 10 ** rng.uniform(-3, 6) * np.exp(1j * rng.uniform(np.pi / 2, np.pi))
+
+    def damped_pair(rng):
+        r, zeta = 10 ** rng.uniform(-3, 6), 10 ** rng.uniform(-3, 0)
+        return r * complex(-zeta, math.sqrt(1.0 - zeta**2))
+
+    families = [(random_models(1104, 160, 1, 0.2, 0.3, spread_pair), 150)]
+    return families + [(random_models(seed, 80, 2, 0.3, 0.6, damped_pair), 75) for seed in (5, 6, 7, 8, 9)]
+
+
 class TestStationaryStateCovariance:
     def test_ou(self, ou):
         assert chf.stationary_state_covariance(ou) == pytest.approx(np.array([[0.5]]))
@@ -692,26 +715,10 @@ class TestStationaryStateCovariance:
         assert chf.acvf_continuous(m, 0.0) == ref[0, 0] > 0.0
 
     def test_random_spread_family(self):
-        # Six seeded families, p <= 10, b = (1) and sigma2 = 1.  Spread (seed
-        # 1104, 160 draws): real roots -10^U(-3, 6) and conjugate pairs of
-        # modulus 10^U(-3, 6) at a uniform angle, each root or pair repeated
-        # with probability 0.2.  Damped pairs (seeds 5 to 9, 80 draws each,
-        # p >= 2): the last root or pair repeated with probability 0.3, else a
-        # pair r (-zeta +- i sqrt(1 - zeta^2)) with r = 10^U(-3, 6) and
-        # zeta = 10^U(-3, 0) with probability 0.6, else a real root.  Models
-        # that CarmaModel refuses are skipped, never re-drawn; none was, and
-        # each family must keep at least its floor.  Sigma must equal the
+        # Models that CarmaModel refuses are skipped, never re-drawn; none was,
+        # and each family must keep at least its floor.  Sigma must equal the
         # reference and factor by plain Cholesky.
-        def spread_pair(rng):
-            return 10 ** rng.uniform(-3, 6) * np.exp(1j * rng.uniform(np.pi / 2, np.pi))
-
-        def damped_pair(rng):
-            r, zeta = 10 ** rng.uniform(-3, 6), 10 ** rng.uniform(-3, 0)
-            return r * complex(-zeta, math.sqrt(1.0 - zeta**2))
-
-        families = [(random_models(1104, 160, 1, 0.2, 0.3, spread_pair), 150)]
-        families += [(random_models(seed, 80, 2, 0.3, 0.6, damped_pair), 75) for seed in (5, 6, 7, 8, 9)]
-        for drawn, floor in families:
+        for drawn, floor in spread_families():
             models = [m for m in drawn if m is not None]
             assert len(models) >= floor
             for m in models:
@@ -719,21 +726,22 @@ class TestStationaryStateCovariance:
                 assert np.array_equal(sigma, mp_sigma(m)), m.a
                 np.linalg.cholesky(sigma)
 
-    # Lightly damped pairs repeated several times, where the map a -> Sigma is
-    # so ill-conditioned that a float solve loses Sigma's leading digits: a
-    # fourfold pair at damping 1e-3 and modulus 2, and the worst model of the
-    # damped-pair family at seed 9, a fivefold pair at damping 0.01 and
-    # modulus 1.3e-3.  The fourfold pair's correctly rounded Sigma fails plain
-    # Cholesky, so its simulators raise LinAlgError (test_simulate).
-    ILL_CONDITIONED_A = {
-        "fourfold_pair": FOURFOLD_PAIR_A,
-        "fivefold_pair": [
-            0.0001387093270868829, 8.586456559667685e-06, 9.52176775737641e-10, 2.9477669151403847e-11,
-            2.4507321159663143e-15, 5.057637244718152e-17, 2.8030229755828866e-21, 4.3368818087319116e-23,
-            1.2020535377520332e-27, 1.4868689169585643e-29,
-        ],
-    }
+    def test_exact_factor(self):
+        # R = L sqrt(D) from the exact LDL^T: lower triangular with a positive
+        # diagonal, and R R^T = Sigma within 2 p eps sqrt(Sigma_ii Sigma_jj) at
+        # each entry.  Measured worst over these 570 models: 1.0 p eps, on the
+        # p = 1 model, where R is one correctly rounded square root; a margin of 2.
+        models = coverage_models() + [CarmaModel(a, [1.0]) for a in ILL_CONDITIONED_A.values()]
+        models += [m for drawn, _ in spread_families() for m in drawn if m is not None]
+        for m in models:
+            sigma, R = chf.stationary_state_covariance(m), core._sigma_factor(m)
+            assert np.array_equal(R, np.tril(R)) and np.all(np.diag(R) > 0.0), m.a
+            r = np.sqrt(np.diag(sigma))
+            assert np.all(np.abs(R @ R.T - sigma) <= 2 * m.p * EPS * r[:, None] * r), m.a
 
+    # conftest's lightly damped pairs, where a float solve loses Sigma's leading
+    # digits.  The fourfold pair's correctly rounded Sigma fails plain Cholesky,
+    # so the simulators draw from its exact factor (test_exact_factor).
     @pytest.mark.parametrize("a", ILL_CONDITIONED_A.values(), ids=ILL_CONDITIONED_A)
     def test_ill_conditioned_pairs(self, a):
         m = CarmaModel(a, [1.0])
@@ -742,9 +750,10 @@ class TestStationaryStateCovariance:
     def test_overflow_is_a_model_error(self):
         # a sixteen-fold root -3e-12: the variance c_0 grows like (3e-12)^-31, beyond the float range
         m = CarmaModel(np.real(np.poly([-3e-12] * 16))[1:], [1.0])
-        with pytest.raises(ModelError, match="float range") as exc:
-            chf.stationary_state_covariance(m)
-        assert exc.value.reason == "sigma_overflow"
+        for sigma in (chf.stationary_state_covariance, core._sigma_factor):
+            with pytest.raises(ModelError, match="float range") as exc:
+                sigma(m)
+            assert exc.value.reason == "sigma_overflow"
 
     def test_lyapunov_residual_and_consistency(self, carma30):
         rng = np.random.default_rng(13)

@@ -184,6 +184,22 @@ class TestFilteredDensity:
             assert got == pytest.approx(gamma, rel=1e-8, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "density",
+    [chf.spectral_density_sampled, chf.spectral_density_filtered, chf.power_transfer],
+    ids=["sampled", "filtered", "power_transfer"],
+)
+@pytest.mark.parametrize("delta", [0.1, 1e-3])
+def test_an_array_of_frequencies_keeps_its_shape(density, delta):
+    # a (2, 3) omega gives the flat call's values in omega's shape, bit for bit
+    m = CarmaModel([6.0, 11.0, 6.0], [2.0, 1.0])
+    w = np.array([[-3.0, -0.5, 0.0], [0.25, 1.0, np.pi]])
+    got = density(m, delta, w)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, density(m, delta, w.ravel()).reshape(2, 3))
+    assert np.array_equal(got[1, 1], density(m, delta, 1.0))
+
+
 class TestAnnihilation:
     def test_residual_tiny(self):
         # sum_k A_k g(t - k delta) = 0 for t > p delta: the filter annihilates the kernel
