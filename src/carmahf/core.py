@@ -7,8 +7,12 @@ covariance, and the sampled system (F, Q_Delta, b) in Delta-scaled coordinates
 that every Delta-grid quantity derives from; the kernel and the continuous-time
 autocovariance at lag h square e^(A x) for a scaled step x = h / 2^s.  No route
 reads the AR roots, so every root multiplicity takes the same route: the matrix
-exponential is one fixed [13/13] Pade approximant of a norm-capped scaled block,
-and stability and Sigma come from one exact integer elimination of the Hurwitz matrix.
+exponential is one fixed [13/13] Pade approximant of a norm-capped scaled block.
+Each matrix has one builder: :func:`_scaled_companion` gives A, the kernel's
+S x and the corner of the Van Loan block; :func:`_sigma_integers` gives Sigma's
+integer checkerboard; and :func:`_eliminate`, the one fraction-free elimination,
+gives stability and Sigma from the Hurwitz matrix and Sigma's exact LDL^T factor
+from the checkerboard.
 """
 
 from __future__ import annotations
@@ -81,13 +85,8 @@ class CarmaModel:
         return len(self.b) - 1
 
     def companion(self) -> np.ndarray:
-        """The p x p companion matrix whose eigenvalues are the AR roots."""
-        p = self.p
-        A = np.zeros((p, p))
-        if p > 1:
-            A[:-1, 1:] = np.eye(p - 1)
-        A[-1, :] = [-c for c in self.a[::-1]]
-        return A
+        """The p x p companion matrix A, whose eigenvalues are the AR roots: :func:`_scaled_companion` at x = 1."""
+        return _scaled_companion(self, 1.0)
 
     def b_vector(self) -> np.ndarray:
         """Moving-average coefficients zero-padded to length p."""
@@ -185,39 +184,47 @@ def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
     return float(v[-1])
 
 
+def _eliminate(rows: list) -> list | None:
+    """Integer rows brought to upper triangular form in place, fraction-free; None at the first pivot <= 0.
+
+    The one elimination (Bareiss 1968), with no pivot search: each step's
+    division by the previous pivot is exact, and the k-th pivot is the
+    (k+1)-th leading minor of the rows.
+    """
+    prev = 1
+    for k in range(len(rows)):
+        if rows[k][k] <= 0:
+            return None
+        for i in range(k + 1, len(rows)):
+            rows[i] = [(rows[k][k] * x - rows[i][k] * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = rows[k][k]
+    return rows
+
+
 def _hurwitz(a) -> list | None:
-    """den [H | (-1)^(p-1) e_1] brought to upper triangular form; None at the first pivot <= 0.
+    """den [H | (-1)^(p-1) e_1] brought to upper triangular form by :func:`_eliminate`, or None.
 
     H_ij = a_(2j-i+1) (a_0 = 1, a_k = 0 outside 0..p) is the Hurwitz matrix of
-    a(z), integer once scaled by den, the largest denominator of the a_j.
-    Fraction-free elimination (Bareiss 1968) makes the k-th pivot den^k times
-    the k-th leading Hurwitz determinant, so the rows come back, with
-    no pivot search, exactly when every root of a(z) has Re < 0 (Hurwitz 1895).
+    a(z), integer once scaled by den, the largest denominator of the a_j.  The
+    k-th pivot is den^k times the k-th leading Hurwitz determinant, so the rows
+    come back exactly when every root of a(z) has Re < 0 (Hurwitz 1895).
     """
     p, den = len(a), max(x.as_integer_ratio()[1] for x in a)
     c = [0] * p + [den, *(n * den // d for n, d in map(float.as_integer_ratio, a))] + [0] * p  # den a_k at p + k
-    H = [c[p - i + 1 : 3 * p - i + 1 : 2] + [den * (-1) ** (p - 1) * (i == 0)] for i in range(p)]
-    prev = 1
-    for k in range(p):
-        if H[k][k] <= 0:
-            return None
-        for i in range(k + 1, p):
-            H[i] = [(H[k][k] * x - H[i][k] * y) // prev for x, y in zip(H[i], H[k])]
-        prev = H[k][k]
-    return H
+    return _eliminate([c[p - i + 1 : 3 * p - i + 1 : 2] + [den * (-1) ** (p - 1) * (i == 0)] for i in range(p)])
 
 
 def _sigma_integers(model: CarmaModel) -> tuple:
-    """(y, 2 det) with 2 det Sigma_ij = (-1)^i y_((i+j)/2) for even i + j, all Python integers.
+    """(C, 2 det) with C = 2 det Sigma the integer checkerboard C_ij = (-1)^i y_((i+j)/2), 0 for odd i + j.
 
     det is the last Hurwitz pivot of :func:`_hurwitz`, and y = det x comes
-    from integer back substitution in its Hurwitz system, in the order c_0..c_(p-1).
+    from integer back substitution in its Hurwitz system, whose x is c_(p-1), ..., c_0.
     """
     p, U = model.p, _hurwitz(model.a)
     det, y = U[p - 1][p - 1], []  # y = det x, from the last row up
     for k in reversed(range(p)):
         y.insert(0, (det * U[k][p] - sum(u * v for u, v in zip(U[k][k + 1 : p], y))) // U[k][k])
-    return y[::-1], 2 * det
+    return [[0 if (i + j) % 2 else (-1) ** i * y[p - 1 - (i + j) // 2] for j in range(p)] for i in range(p)], 2 * det
 
 
 def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
@@ -231,44 +238,38 @@ def stationary_state_covariance(model: CarmaModel) -> np.ndarray:
     the transpose of (p-1, i), so the p last-row equations are left: reversed,
     in c_(p-1), ..., c_0, the Hurwitz system H x = (-1)^(p-1) e_1 of
     :func:`_hurwitz` with the diagonal equation doubled.  Back substitution in
-    integers gives det x exactly, so each c_k is one correctly rounded int / int
-    division; one past the float range raises ModelError("sigma_overflow").
+    integers gives the checkerboard C = 2 det Sigma exactly (:func:`_sigma_integers`),
+    so each entry is one correctly rounded int / int division; one past the
+    float range raises ModelError("sigma_overflow").
     """
-    y, den = _sigma_integers(model)
+    C, den = _sigma_integers(model)
     try:
-        c = np.array([v / den for v in y])
+        return np.array([[v / den for v in row] for row in C])
     except OverflowError:
         raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
-    p = model.p
-    ij = np.arange(p)[:, None] + np.arange(p)
-    return np.where(ij % 2, 0.0, (-1.0) ** np.arange(p)[:, None] * c[ij // 2])  # Sigma_ij = (-1)^i c_((i+j)/2)
 
 
 def _sigma_factor(model: CarmaModel) -> np.ndarray:
     """R = L sqrt(D) with Sigma = L D L^T exactly, L unit lower triangular: R R^T = Sigma to rounding.
 
-    The LDL^T of the integer checkerboard C = 2 det Sigma (:func:`_sigma_integers`)
-    is taken fraction-free (Bareiss 1968): the k-th pivot C^(k)_kk is the
-    (k+1)-th leading minor of C, so L_ik = C^(k)_ik / C^(k)_kk and
-    D_k = C^(k)_kk / C^(k-1)_(k-1,k-1) / (2 det), each one correctly rounded
-    int / int division.  Sigma is positive definite ((A, e_p) is controllable),
-    so every pivot is positive, even where the rounded Sigma fails plain
-    Cholesky.  An entry past the float range raises ModelError("sigma_overflow").
+    :func:`_eliminate` brings the integer checkerboard C = 2 det Sigma
+    (:func:`_sigma_integers`) to upper triangular U, with the (k+1)-th leading
+    minor of C as its k-th pivot.  C is symmetric, so row k of U is column k
+    at step k: L_ik = U_ki / U_kk and D_k = U_kk / U_(k-1,k-1) / (2 det), each
+    one correctly rounded int / int division.  Sigma is positive definite
+    ((A, e_p) is controllable), so every pivot is positive, even where the
+    rounded Sigma fails plain Cholesky.  An entry past the float range raises
+    ModelError("sigma_overflow").
     """
-    p, (y, den) = model.p, _sigma_integers(model)
-    C = [[0 if (i + j) % 2 else (-1) ** i * y[(i + j) // 2] for j in range(p)] for i in range(p)]
-    R, prev = np.zeros((p, p)), 1
+    C, den = _sigma_integers(model)
+    U = _eliminate(C)
+    piv = [1] + [row[k] for k, row in enumerate(U)]
     try:
-        for k in range(p):
-            piv = C[k][k]
-            R[k:, k] = [C[i][k] / piv for i in range(k, p)]
-            R[k:, k] *= math.sqrt(piv / (prev * den))
-            for i in range(k + 1, p):
-                C[i] = [(piv * x - C[i][k] * z) // prev for x, z in zip(C[i], C[k])]
-            prev = piv
+        L = np.array([[row[i] / row[k] for k, row in enumerate(U)] for i in range(model.p)])
+        d = [math.sqrt(piv[k + 1] / (piv[k] * den)) for k in range(model.p)]
     except OverflowError:
         raise ModelError("sigma_overflow", "the stationary state covariance exceeds the float range") from None
-    return R
+    return L * d
 
 
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
@@ -292,8 +293,9 @@ def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
 def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
     """The rows b^T e^(A h) = (b^T T) F^(2^s) T^-1 for lags h != 0, F = e^(S x) by :func:`_pade13`.
 
-    x = h / 2^s with s the least that brings the 1-norm of S x, S = T^-1 A T and
-    T = diag(x^(p-1), ..., x, 1), within ``_BLOCK_NORM``; x is set by the model's
+    x = h / 2^s with s the least that brings the 1-norm of S x (:func:`_scaled_companion`,
+    S = T^-1 A T and T = diag(x^(p-1), ..., x, 1)) within ``_BLOCK_NORM``, halving
+    S x itself with no Van Loan block; x is set by the model's
     time scale, so T is in float range at every finite lag.  Where x^(p-1-k) is
     not a normal float, x ||A|| is far below rounding and the entry is b_k itself.
     """
@@ -303,7 +305,7 @@ def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i, x in enumerate(h):
             s = 0
-            while _BLOCK_NORM < _norm1(Sx := _van_loan_block(model, x)[:p, :p]):
+            while _BLOCK_NORM < _norm1(Sx := _scaled_companion(model, x)):
                 x, s = x / 2.0, s + 1
             F = _pade13(Sx)
             for _ in range(s):
@@ -333,17 +335,22 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
     return _like(omega, model.sigma2 / (2.0 * np.pi) * num / den)
 
 
-def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:
-    """[[S h, h e_p e_p^T], [0, -S^T h]] with S = T^-1 A T, T = diag(h^(p-1), ..., h, 1).
+def _scaled_companion(model: CarmaModel, x: float) -> np.ndarray:
+    """S x with S = T^-1 A T, T = diag(x^(p-1), ..., x, 1): A itself at x = 1.
 
-    S h is built from its nonzero entries alone, the unit superdiagonal and the last row
-    -a_(p-j) h^(p-j): a zero of A times h^-k would be NaN once h^-k overflows.
+    S x is built from its nonzero entries alone, the unit superdiagonal and the last row
+    -a_(p-j) x^(p-j): a zero of A times x^-k would be NaN once x^-k overflows.
     """
+    Sx = np.eye(model.p, k=1)
+    Sx[-1] = -np.array(model.a[::-1]) * x ** np.arange(model.p, 0, -1.0)
+    return Sx
+
+
+def _van_loan_block(model: CarmaModel, h: float) -> np.ndarray:
+    """[[S h, h e_p e_p^T], [0, -S^T h]] with S h from :func:`_scaled_companion`."""
     p = model.p
     M = np.zeros((2 * p, 2 * p))
-    i = np.arange(p - 1)
-    M[i, i + 1] = 1.0
-    M[p - 1, :p] = -np.array(model.a[::-1]) * h ** np.arange(p, 0, -1.0)
+    M[:p, :p] = _scaled_companion(model, h)
     M[p:, p:] = -M[:p, :p].T
     M[p - 1, 2 * p - 1] = h
     return M

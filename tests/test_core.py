@@ -230,6 +230,42 @@ class TestValidate:
         assert isinstance(carma20.roots, tuple)
 
 
+def random_symmetric(rng, p, definite):
+    """A p x p symmetric integer matrix: B B^T + I for a definite one, else entries in -4..4."""
+    B = rng.integers(-4, 5, (p, p))
+    return (B @ B.T + np.eye(p, dtype=int) if definite else np.triu(B) + np.triu(B, 1).T).tolist()
+
+
+class TestEliminate:
+    # fraction_det is the judge: the k-th pivot is the (k+1)-th leading minor, and the
+    # rows are refused exactly when some leading minor is <= 0
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    def test_pivots_are_the_leading_minors(self, definite):
+        rng, refused = np.random.default_rng(1968), 0
+        for _ in range(60):
+            C = random_symmetric(rng, int(rng.integers(1, 7)), definite)
+            minors = [fraction_det([row[:k] for row in C[:k]]) for k in range(1, len(C) + 1)]
+            U = core._eliminate([row[:] for row in C])
+            assert (U is None) == any(d <= 0 for d in minors)
+            if U is None:
+                refused += 1
+                continue
+            assert all(U[i][j] == 0 for i in range(len(C)) for j in range(i))
+            assert [U[k][k] for k in range(len(C))] == minors
+        assert refused == 0 if definite else 0 < refused < 60
+
+    def test_rows_give_the_ldlt(self):
+        # L_ik = U_ki / U_kk and D_k = U_kk / U_(k-1,k-1), as _sigma_factor reads them
+        rng = np.random.default_rng(1104)
+        for _ in range(40):
+            C = random_symmetric(rng, int(rng.integers(1, 7)), True)
+            p, U = len(C), core._eliminate([row[:] for row in C])
+            L = [[Fraction(U[k][i], U[k][k]) for k in range(p)] for i in range(p)]
+            D = [Fraction(U[k][k], U[k - 1][k - 1] if k else 1) for k in range(p)]
+            assert all(L[i][i] == 1 and not any(L[i][i + 1 :]) for i in range(p))
+            assert [[sum(L[i][k] * D[k] * L[j][k] for k in range(p)) for j in range(p)] for i in range(p)] == C
+
+
 class TestStabilityProperty:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -579,8 +615,8 @@ class TestEdgeLags:
 
     @pytest.mark.parametrize("a, b", MODELS)
     def test_kernel_needs_no_sampled_system(self, a, b, monkeypatch):
-        # g and gamma_Y square e^(S x) themselves: with the sampled system refused, every lag,
-        # out to 1e300, gives the value it gave before
+        # g and gamma_Y square e^(S x) themselves: with the sampled system and the Van Loan
+        # block refused, every lag, out to 1e300, gives the value it gave before
         m, lags = CarmaModel(a, b, sigma2=0.7), np.concatenate([self.LAGS, [1e3, 1e10, 1e30, 1e100, 1e300]])
         g, gamma = chf.kernel_values(m, lags), chf.acvf_continuous(m, lags)
 
@@ -588,6 +624,7 @@ class TestEdgeLags:
             raise AssertionError("the kernel reads the sampled system")
 
         monkeypatch.setattr(core, "sampled_state_space", refused)
+        monkeypatch.setattr(core, "_van_loan_block", refused)
         assert np.array_equal(chf.kernel_values(m, lags), g)
         assert np.array_equal(chf.acvf_continuous(m, lags), gamma)
 
@@ -738,6 +775,22 @@ class TestStationaryStateCovariance:
             assert np.array_equal(R, np.tril(R)) and np.all(np.diag(R) > 0.0), m.a
             r = np.sqrt(np.diag(sigma))
             assert np.all(np.abs(R @ R.T - sigma) <= 2 * m.p * EPS * r[:, None] * r), m.a
+
+    def test_factor_is_the_exact_ldlt_rounded_once(self):
+        # The LDL^T of Sigma over fractions (exact_c): each L_ik rounded once, and each D_k
+        # one int / int division before its square root.  R must be that, bit for bit.
+        models = coverage_models() + [CarmaModel(a, [1.0]) for a in ILL_CONDITIONED_A.values()]
+        models += [m for drawn, _ in spread_families() for m in drawn if m is not None]
+        for m in models:
+            p, c = m.p, exact_c(m.a)
+            S = [[0 if (i + j) % 2 else (-1) ** i * c[(i + j) // 2] for j in range(p)] for i in range(p)]
+            L, D = [[Fraction(i == j) for j in range(p)] for i in range(p)], []
+            for k in range(p):
+                D.append(S[k][k] - sum(L[k][j] ** 2 * D[j] for j in range(k)))
+                for i in range(k + 1, p):
+                    L[i][k] = (S[i][k] - sum(L[i][j] * L[k][j] * D[j] for j in range(k))) / D[k]
+            ref = np.array([[float(x) for x in row] for row in L]) * [math.sqrt(float(d)) for d in D]
+            assert np.array_equal(core._sigma_factor(m), ref), m.a
 
     # conftest's lightly damped pairs, where a float solve loses Sigma's leading
     # digits.  The fourfold pair's correctly rounded Sigma fails plain Cholesky,
