@@ -26,8 +26,8 @@ _EXPORTS = {
     "factorization": ("FactorizationError", "SampledArma", "reconstruct_acvf", "reconstruction_residual",
                       "sampled_arma", "spectral_factorize"),
     "poly": ("find_roots",),
-    "sampling": ("CoarseSamplingWarning", "CovSequence", "acvf_filtered_sequence", "filter_coefficients",
-                 "power_transfer", "spectral_density_filtered", "spectral_density_sampled"),
+    "sampling": ("CovSequence", "acvf_filtered_sequence", "filter_coefficients", "power_transfer",
+                 "spectral_density_filtered", "spectral_density_sampled"),
     "simulate": ("DriverSpec", "SimulationResult", "empirical_filtered_acvf", "simulate_euler",
                  "simulate_gaussian_exact", "spawn_seeds"),
 }

@@ -143,14 +143,17 @@ def cmd_sampled_arma(args, model: CarmaModel) -> tuple:
 
 
 def _validate_one_delta(model: CarmaModel, delta: float) -> tuple:
-    """Exact-vs-asymptotic ratio checks for one grid size, and the exact gamma_MA."""
+    """Exact-vs-asymptotic ratio checks for one grid size, and the exact gamma_MA.
+
+    The exact side is right at every delta; only the asymptotic side needs the
+    small-delta regime.  Outside it (``sampling.coarseness`` > 1) a ratio past
+    its tolerance is WARN, not FAIL: these rows are where the regime is reported.
+    """
     from . import asymptotics
 
     omegas = {"pi/4": np.pi / 4, "pi/2": np.pi / 2, "pi": np.pi}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sampling.CoarseSamplingWarning)
-        gamma = sampling.acvf_filtered_sequence(model, delta).values
-        f_ma = sampling.spectral_density_filtered(model, delta, list(omegas.values()))
+    gamma = sampling.acvf_filtered_sequence(model, delta).values
+    f_ma = sampling.spectral_density_filtered(model, delta, list(omegas.values()))
     f_ma_asym = asymptotics.f_ma_asymptotic(model, delta, list(omegas.values()))
     checks = [(f"acvf_ratio_lag{n}", g, asymptotics.gamma_ma_asymptotic(model, delta, n)) for n, g in enumerate(gamma)]
     checks += [(f"spectrum_ratio_{name}", f, a) for name, f, a in zip(omegas, f_ma, f_ma_asym)]

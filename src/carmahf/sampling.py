@@ -10,23 +10,20 @@ gives phi as the characteristic polynomial of F and the MA(p-1) part of
 phi(B) Y from the Faddeev-LeVerrier matrices of F, and :func:`_shifted` gives
 the resolvent stack behind psi and f_Delta, a quadratic form in Q.  No route
 needs the autoregressive roots, so repeated and nearly repeated roots need no
-special case.  ``CarmaModel.roots`` serve only :func:`coarseness` and its
-warning; Delta passes the one rule of :func:`core._check_delta`.
+special case.  ``CarmaModel.roots`` serve only :func:`coarseness`, which
+``validate`` reads for the small-Delta regime; Delta passes the one rule of
+:func:`core._check_delta`.  These quantities are exact at every Delta, so no
+grid is too coarse for them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
 from .core import CarmaModel
-
-
-class CoarseSamplingWarning(UserWarning):
-    """Delta * max|lambda| > 1: outside the small-Delta regime."""
 
 
 @dataclass(frozen=True)
@@ -47,18 +44,6 @@ def coarseness(model: CarmaModel, delta: float) -> float:
     return delta * max(abs(z) for z in model.roots)
 
 
-def _check_grid(model: CarmaModel, delta: float) -> None:
-    core._check_delta(delta)
-    c = coarseness(model, delta)
-    if c > 1.0:
-        warnings.warn(
-            f"delta={delta} is coarse for this model (delta * max|lambda| = "
-            f"{c:.3g} > 1); asymptotic comparisons are unreliable",
-            CoarseSamplingWarning,
-            stacklevel=4,  # the caller of the public function, past its helper
-        )
-
-
 def _filter_and_acvf(model: CarmaModel, delta: float) -> tuple:
     """phi = charpoly(F) and gamma_MA(0..p-1), from one sampled system (F, Q, b).
 
@@ -71,7 +56,7 @@ def _filter_and_acvf(model: CarmaModel, delta: float) -> tuple:
     sub-diagonal sum of one quadratic form W = V Q V^T, with V zero-padded
     below so that rows j+n >= p read 0.
     """
-    _check_grid(model, delta)
+    core._check_delta(delta)
     F, Q, b = core.sampled_state_space(model, delta)
     p = model.p
     phi = np.ones(p + 1)
@@ -98,7 +83,7 @@ def filter_coefficients(model: CarmaModel, delta: float) -> np.ndarray:
 
 def _shifted(model: CarmaModel, delta: float, omega) -> tuple:
     """e^(-i omega) I - F^T stacked over the flattened omega grid, with Q and b, from one sampled system."""
-    _check_grid(model, delta)
+    core._check_delta(delta)
     F, Q, b = core.sampled_state_space(model, delta)
     w = np.ravel(np.asarray(omega, dtype=float))
     return np.exp(-1j * w)[:, None, None] * np.eye(model.p) - F.T, Q, b

@@ -198,11 +198,12 @@ def empirical_filtered_acvf(result: SimulationResult, lags: int) -> CovSequence:
     p = result.model.p
     if len(y) < MIN_LENGTH_PER_ORDER * p:
         raise ValueError(f"series too short: need at least {MIN_LENGTH_PER_ORDER * p} points")
-    u = np.convolve(y, sampling._filter_and_acvf(result.model, result.delta)[0], mode="valid")
+    u = np.convolve(y, sampling.filter_coefficients(result.model, result.delta), mode="valid")
     u = u - u.mean()
     n = len(u)
-    # the biased estimator is 0 at lags h >= n, where u[:n-h] would wrap around
-    gam = np.array([np.dot(u[: max(n - h, 0)], u[h:]) / n for h in range(max(lags, p - 1) + 1)])
+    # the biased estimator is 0 at lags h >= n, where u[:n-h] would wrap around;
+    # product and sum, not np.dot, whose threaded ddot is slower on a long series
+    gam = np.array([(u[: max(n - h, 0)] * u[h:]).sum() / n for h in range(max(lags, p - 1) + 1)])
 
     # Bartlett: Var(gamma_hat(h)) ~ (1/n) sum_j [gamma(j)^2 + gamma(j+h) gamma(j-h)],
     # truncated at the MA order p-1 where the true sequence vanishes, so every

@@ -1,21 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import carmahf as chf
 from carmahf import CarmaModel, core, poly
-from carmahf.sampling import (
-    CoarseSamplingWarning,
-    CovSequence,
-    coarseness,
-)
+from carmahf.sampling import CovSequence, coarseness
 
 from conftest import corpus, coverage_models, inverse_transform, mp_sampled_density, random_stable_model
 
 #: f_Delta within DENSITY_BOUND * max(1, 1/delta) of itself: exact f_Delta loses about
 #: eps/delta near omega = 0.  The worst measured is 7.1 eps * max(1, 1/delta).
 DENSITY_BOUND = 32 * np.finfo(float).eps
+#: AR roots -1, -0.1 +- 100i: coarse by the modulus long before by the real part
+OSCILLATORY_A = [1.2, 10000.21, 10000.01]
 
 
 def assert_density_close(m, delta):
@@ -57,29 +56,29 @@ class TestGridChecks:
         CarmaModel(carma30.a, carma30.b)
         assert calls == [True]
 
-    def test_coarse_warning(self, carma20):
-        # pytest.warns records the warning that the pytest configuration ignores
-        with pytest.warns(CoarseSamplingWarning):
-            chf.filter_coefficients(carma20, 0.6)  # 0.6 * 2 > 1
+    def test_coarseness_reads_the_modulus(self):
+        m = CarmaModel(OSCILLATORY_A, [1.0])
+        assert coarseness(m, 0.1) == pytest.approx(10.0, rel=1e-6)  # Delta * max|Re lambda| is only 0.1
 
     @pytest.mark.parametrize(
-        "call",
-        [
-            lambda m: chf.filter_coefficients(m, 0.6),
-            lambda m: chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, 0.6, 200, seed=0), 2),
-        ],
-        ids=["filter_coefficients", "empirical_filtered_acvf"],
+        "a, delta",
+        [([3.0, 2.0], 0.6), ([3.0, 2.0], 2.0), (OSCILLATORY_A, 0.1)],
+        ids=["carma20-0.6", "carma20-2", "oscillatory"],
     )
-    def test_coarse_warning_points_at_the_caller(self, carma20, call):
-        with pytest.warns(CoarseSamplingWarning) as record:
-            call(carma20)
-        assert record[0].filename == __file__
-
-    def test_coarseness_reads_the_modulus(self):
-        m = CarmaModel([1.2, 10000.21, 10000.01], [1.0])  # roots -1, -0.1 +- 100i
-        assert coarseness(m, 0.1) == pytest.approx(10.0, rel=1e-6)
-        with pytest.warns(CoarseSamplingWarning, match=r"max\|lambda\| = 10 > 1"):
-            chf.filter_coefficients(m, 0.1)  # Delta * max|Re lambda| is only 0.1
+    def test_exact_routines_are_silent_at_coarse_delta(self, a, delta):
+        # the Delta-grid quantities are exact at every Delta: past the small-Delta regime none of them warns
+        m = CarmaModel(a, [1.0])
+        assert coarseness(m, delta) > 1.0
+        w = [0.5, np.pi]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chf.filter_coefficients(m, delta)
+            chf.acvf_filtered_sequence(m, delta)
+            chf.spectral_density_sampled(m, delta, w)
+            chf.spectral_density_filtered(m, delta, w)
+            chf.power_transfer(m, delta, w)
+            chf.sampled_arma(m, delta)
+            chf.empirical_filtered_acvf(chf.simulate_gaussian_exact(m, delta, 400, seed=0), m.p - 1)
 
 
 class TestFilterCoefficients:
