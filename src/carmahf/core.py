@@ -157,17 +157,11 @@ def _pade13(M: np.ndarray) -> np.ndarray:
 def kernel_values(model: CarmaModel, t) -> np.ndarray | float:
     """The causal kernel g at the times t: a float for a scalar t, else an array.
 
-    g(t) = b^T e^(At) e_p for t > 0, by scaling and squaring (:func:`_b_exp`),
-    and 0 for t < 0 and for t = inf, where g decays to 0.
-    At t = 0 the right limit g(0+) = b_(p-1) is returned (nonzero only when
-    p - q = 1); a NaN time gives NaN.
+    g(t) = b^T e^(At) e_p, the last entry of :func:`_b_exp`'s row, which
+    decides every edge: t = 0 gives the right limit g(0+) = b_(p-1) (nonzero
+    only when p - q = 1), t < 0 and t = +-inf give 0, and a NaN time gives NaN.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros(t_arr.shape)
-    out[t_arr == 0.0] = model.b_vector()[-1]
-    rest = ~(t_arr <= 0.0) & (t_arr != np.inf)
-    out[rest] = _b_exp(model, t_arr[rest])[:, -1]
-    return _like(t, out)
+    return _like(t, _b_exp(model, np.ravel(np.asarray(t, dtype=float)))[:, -1])
 
 
 def kernel_derivative_at_zero(model: CarmaModel, k: int) -> float:
@@ -275,41 +269,54 @@ def _sigma_factor(model: CarmaModel) -> np.ndarray:
 def acvf_continuous(model: CarmaModel, h) -> np.ndarray | float:
     """Autocovariance gamma_Y(h) of the continuous-time process.
 
-    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, with b^T e^(A|h|)
-    by scaling and squaring (:func:`_b_exp`); valid for every root
-    multiplicity.  Lag 0 is sigma2 * b^T Sigma b itself, and an infinite lag
-    gives the limit 0; a NaN lag gives NaN.
+    The state-space identity sigma2 * b^T e^(A|h|) Sigma b, with the row
+    b^T e^(A|h|) from :func:`_b_exp`, which decides every edge: lag 0 gives
+    sigma2 * b^T Sigma b itself, an infinite lag the limit 0 and a NaN lag
+    NaN.  Each lag is one dot product of its row with sigma2 Sigma b, so it
+    has the same bits alone as in an array; a matrix-vector product over the
+    rows rounds differently as the number of rows changes.
     """
-    h_arr = np.atleast_1d(np.abs(np.asarray(h, dtype=float)))
+    h_arr = np.abs(np.ravel(np.asarray(h, dtype=float)))
     b = model.b_vector()
     sb = model.sigma2 * (stationary_state_covariance(model) @ b)
-    out = np.full(h_arr.shape, sb @ b)
-    out[h_arr == np.inf] = 0.0
-    lag = (h_arr != 0.0) & (h_arr != np.inf)
-    out[lag] = _b_exp(model, h_arr[lag]) @ sb
-    return _like(h, out)
+    return _like(h, np.array([row @ sb for row in _b_exp(model, h_arr)]))
 
 
 def _b_exp(model: CarmaModel, h: np.ndarray) -> np.ndarray:
-    """The rows b^T e^(A h) = (b^T T) F^(2^s) T^-1 for lags h != 0, F = e^(S x) by :func:`_pade13`.
+    """The rows b^T e^(A h) for the lags h, the one place that decides every lag.
 
-    x = h / 2^s with s the least that brings the 1-norm of S x (:func:`_scaled_companion`,
-    S = T^-1 A T and T = diag(x^(p-1), ..., x, 1)) within ``_BLOCK_NORM``, halving
-    S x itself with no Van Loan block; x is set by the model's
-    time scale, so T is in float range at every finite lag.  Where x^(p-1-k) is
-    not a normal float, x ||A|| is far below rounding and the entry is b_k itself.
+    Lag 0 (and -0.0) gives b itself: the Pade approximant of the nilpotent S 0
+    misses 1 by an ulp for some models.  A negative lag and +-inf give a zero
+    row (g is causal and decays to 0), and a NaN lag gives a NaN row.  A
+    finite positive lag gives (b^T T) F^(2^s) T^-1, F = e^(S x) by
+    :func:`_pade13`, with x = h / 2^s and s the least that brings the 1-norm
+    of S x (:func:`_scaled_companion`, S = T^-1 A T and T = diag(x^(p-1), ...,
+    x, 1)) within ``_BLOCK_NORM``, halving S x itself with no Van Loan block.
+    The search starts at the s that puts x within a factor 4 above
+    :func:`_step`, read from the binary exponents of h and the step so that no
+    quotient overflows; the s before it cannot pass, so S x is built at most
+    three times.  The squaring stops once F is all zero.  x is set by the
+    model's time scale, so T is in float range at every finite lag.  Where
+    x^(p-1-k) is not a normal float, x ||A|| is far below rounding and the
+    entry is b_k itself.
     """
     p, b = model.p, model.b_vector()
     k = p - 1.0 - np.arange(p)
-    rows = np.empty((len(h), p))
+    e = math.frexp(_step(model))[1]
+    rows = np.zeros((len(h), p))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i, x in enumerate(h):
-            s = 0
+        for i, h_i in enumerate(h.tolist()):
+            if h_i == 0.0:
+                rows[i] = b
+            if h_i <= 0.0 or h_i == math.inf:
+                continue
+            s = max(0, math.frexp(h_i)[1] - e - 1)
+            x = math.ldexp(h_i, -s)
             while _BLOCK_NORM < _norm1(Sx := _scaled_companion(model, x)):
                 x, s = x / 2.0, s + 1
             F = _pade13(Sx)
-            for _ in range(s):
-                F = F @ F
+            while s and F.any():
+                F, s = F @ F, s - 1
             t = x**k
             rows[i] = np.where(t < _TINY, b, (t * b) @ F / t)
     return rows
@@ -333,6 +340,16 @@ def spectral_density_continuous(model: CarmaModel, omega) -> np.ndarray | float:
         num[far] = np.abs(poly._horner(model.b[::-1], x)) ** 2 * np.abs(w[far]) ** (2.0 * (model.q - model.p))
         den[far] = np.abs(poly._horner((1.0, *model.a), x)) ** 2
     return _like(omega, model.sigma2 / (2.0 * np.pi) * num / den)
+
+
+def _step(model: CarmaModel) -> float:
+    """The largest x with ||S x||_1 <= ``_BLOCK_NORM``: min over j of ((_BLOCK_NORM - [j < p]) / a_j)^(1/j).
+
+    Column p - j of S x (:func:`_scaled_companion`) holds a_j x^j and, for
+    j < p, the unit superdiagonal; every a_j of a stable model is positive.
+    """
+    p = model.p
+    return min(((_BLOCK_NORM - (j < p)) / a) ** (1.0 / j) for j, a in enumerate(model.a, 1))
 
 
 def _scaled_companion(model: CarmaModel, x: float) -> np.ndarray:

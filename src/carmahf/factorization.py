@@ -169,7 +169,7 @@ def sampled_arma(model: CarmaModel, delta: float) -> SampledArma:
     """Full chain: filter coefficients, exact gamma_MA, spectral factorization."""
     phi, gamma = sampling._filter_and_acvf(model, delta)
     theta, tau2, boundary = _factorize(gamma)
-    return SampledArma(delta, tuple(phi.tolist()), tuple(gamma), tuple(theta.tolist()), tau2, boundary)
+    return SampledArma(float(delta), tuple(phi.tolist()), tuple(gamma), tuple(theta.tolist()), tau2, boundary)
 
 
 def reconstruction_residual(arma: SampledArma) -> float:

@@ -122,4 +122,4 @@ def acvf_filtered_sequence(model: CarmaModel, delta: float, n_max: int | None = 
         raise ValueError("lag must be non-negative")
     gamma = _filter_and_acvf(model, delta)[1]
     vals = tuple(gamma[n] if n < model.p else 0.0 for n in range(n_max + 1))
-    return CovSequence(delta=delta, values=vals)
+    return CovSequence(delta=float(delta), values=vals)

@@ -132,7 +132,7 @@ def simulate_gaussian_exact(model: CarmaModel, delta: float, n: int, seed: int) 
     Ls = np.sqrt(model.sigma2) * core._sigma_factor(model) / t[:, None]
     x0 = Ls @ rng.standard_normal(p)
     y = _propagate(b, F, rng.standard_normal, Lq, n - 1, x0)[0]
-    return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="exact_gaussian")
+    return SimulationResult(model=model, delta=float(delta), y=y, seed=seed, scheme="exact_gaussian")
 
 
 def _driver_increments(rng, driver: DriverSpec, sigma2: float, dt: float, shape: tuple) -> np.ndarray:
@@ -182,7 +182,7 @@ def simulate_euler(
 
     increments = partial(_driver_increments, rng, driver, model.sigma2, dt)
     y = _propagate(model.b_vector(), np.linalg.matrix_power(FE, substeps), increments, G, n - 1, x0)[0]
-    return SimulationResult(model=model, delta=delta, y=y, seed=seed, scheme="euler", substeps=substeps)
+    return SimulationResult(model=model, delta=float(delta), y=y, seed=seed, scheme="euler", substeps=substeps)
 
 
 def empirical_filtered_acvf(result: SimulationResult, lags: int) -> CovSequence:

@@ -89,3 +89,18 @@ def test_records_hold_python_floats(carma21):
               *empirical.values, *empirical.stderr]
     assert len(values) == 16 and all(type(x) is float for x in values)
     assert not any("np.float64" in repr(r) for r in (path, arma, limit, exact, empirical))
+
+
+@pytest.mark.parametrize("delta", [np.float64(0.1), 1], ids=["float64", "int"])
+def test_record_delta_is_a_float(carma21, delta):
+    # every record stores delta as a Python float, whatever number type it was passed as
+    path = carmahf.simulate_gaussian_exact(carma21, delta, 200, seed=1)
+    records = [
+        path,
+        carmahf.simulate_euler(carma21, delta, 200, 100, carmahf.DriverSpec(), seed=1),
+        carmahf.sampled_arma(carma21, delta),
+        carmahf.acvf_filtered_sequence(carma21, delta),
+        carmahf.empirical_filtered_acvf(path, 1),
+    ]
+    assert [type(r.delta) for r in records] == [float] * 5
+    assert all(r.delta == delta for r in records)

@@ -412,7 +412,9 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
+    # under the warning flags of the tier-1 test run, so no warning a demo raises goes unseen
+    flags = ["-X", "dev", "-W", "error::ResourceWarning", "-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning"]
+    proc = subprocess.run([sys.executable, *flags, str(demo)], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

@@ -568,6 +568,12 @@ class TestEdgeLags:
         ([10.0, 35.0, 50.0, 24.0, 5.0], [2.0, 3.0, 1.0]),
         *((m.a, m.b) for m in coverage_models()),
     )
+    #: Roots -0.0015 and four pairs at -0.003..-0.008 +- 27.99i (p = 9).
+    NEAR_FOURFOLD_PAIR_A = [
+        0.045614134627865094, 3134.1703858729106, 108.40812700841423, 3683633.4314373196,
+        86801.38998157787, 1924188538.536589, 24127480.732681938, 376920745479.1758, 570663801.0916673,
+    ]
+    EDGES = [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 0.5, 1e300]
 
     @pytest.mark.parametrize("a, b", MODELS)
     def test_against_mpmath(self, a, b):
@@ -628,13 +634,34 @@ class TestEdgeLags:
         assert np.array_equal(chf.kernel_values(m, lags), g)
         assert np.array_equal(chf.acvf_continuous(m, lags), gamma)
 
+    @pytest.mark.parametrize("a, b", MODELS)
+    def test_every_edge_in_one_array(self, a, b):
+        # one array mixing every lag edge gives the scalar calls bit for bit, and the limits
+        m = CarmaModel(a, b, sigma2=0.7)
+        g, gamma = chf.kernel_values(m, self.EDGES), chf.acvf_continuous(m, self.EDGES)
+        for f, got in ((chf.kernel_values, g), (chf.acvf_continuous, gamma)):
+            assert np.array([f(m, h) for h in self.EDGES]).tobytes() == got.tobytes()
+        assert g[0] == g[1] == m.b_vector()[-1]
+        assert [(x, math.copysign(1.0, x)) for x in g[2:5]] == [(0.0, 1.0)] * 3
+        assert gamma[3:5].tolist() == [0.0, 0.0]
+        assert np.isnan(g[5]) and np.isnan(gamma[5])
+
+    @pytest.mark.parametrize("a", [[2.0], [3.0, 2.0], [10.0, 35.0, 50.0, 24.0, 5.0], NEAR_FOURFOLD_PAIR_A],
+                             ids=["p1", "p2", "p5", "p9"])
+    def test_at_most_three_builds_per_lag(self, a, monkeypatch):
+        # the halving of the lag starts at the model's time scale, so S x is built at most three times
+        m, built, build = CarmaModel(a, [1.0]), [], core._scaled_companion
+        monkeypatch.setattr(core, "_scaled_companion", lambda model, x: built.append(x) or build(model, x))
+        for h in (1.0, 1e3, 1e10, 1e100, 1e300):
+            built.clear()
+            chf.kernel_values(m, h)
+            assert len(built) <= 3, (h, len(built))
+
     @pytest.mark.xfail(strict=True, reason="the doubling F <- F F amplifies rounding on this non-normal model")
     def test_lightly_damped_near_fourfold_pair(self):
-        # Roots -0.0015 and four pairs at -0.003..-0.008 +- 27.99i.  The values must be right or
-        # refused; kernel_values gives g(30) = -2.4225e-5 against -2.2729e-5 and g(100) = 14.57 against -1.86e-5.
-        a = [0.045614134627865094, 3134.1703858729106, 108.40812700841423, 3683633.4314373196,
-             86801.38998157787, 1924188538.536589, 24127480.732681938, 376920745479.1758, 570663801.0916673]
-        m, lags = CarmaModel(a, [1.0]), [30.0, 100.0]
+        # The values must be right or refused; kernel_values gives g(30) = -2.4225e-5 against
+        # -2.2729e-5 and g(100) = 14.57 against -1.86e-5.
+        m, lags = CarmaModel(self.NEAR_FOURFOLD_PAIR_A, [1.0]), [30.0, 100.0]
         for got, ref in zip((chf.kernel_values, chf.acvf_continuous), mp_kernel_acvf(m, lags)):
             with contextlib.suppress(ModelError):
                 assert np.max(np.abs(got(m, lags) - ref)) <= 1e-6 * np.max(np.abs(ref))
